@@ -17,7 +17,7 @@ import (
 	"repro/internal/wire"
 )
 
-// modelInfo describes one registry entry in /healthz and /benchmarks.
+// modelInfo describes one registry entry in /v1/healthz and /v1/benchmarks.
 type modelInfo struct {
 	Benchmark string `json:"benchmark"`
 	Metric    string `json:"metric"`
@@ -44,10 +44,10 @@ func (s *Server) modelInfos() []modelInfo {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	if !api.RequireGet(w, r) {
 		return
 	}
-	writeJSON(w, r, http.StatusOK, map[string]any{
+	api.WriteJSON(w, r, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"uptime_seconds": time.Since(s.started).Seconds(),
 		"trainings":      s.store.Trainings(),
@@ -58,14 +58,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleBenchmarks lists what the daemon can answer for: benchmarks with
 // models in memory, and benchmarks it would train on first request.
 func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	if !api.RequireGet(w, r) {
 		return
 	}
 	// "Trained" means every served metric is in memory: a partially
 	// warm-started benchmark still owes a training run, so clients that
 	// pick pre-warmed work from this list are never surprised. The same
-	// inventory is what membership heartbeats advertise for affinity
-	// scheduling.
+	// inventory is what a peer gossips for affinity scheduling.
 	metrics := s.store.Metrics()
 	trained := s.store.Trained()
 	trainedSet := make(map[string]bool, len(trained))
@@ -78,22 +77,11 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 			onDemand = append(onDemand, b)
 		}
 	}
-	writeJSON(w, r, http.StatusOK, map[string]any{
+	api.WriteJSON(w, r, http.StatusOK, map[string]any{
 		"trained":             trained,
 		"trainable_on_demand": onDemand,
 		"metrics":             metricStrings(metrics),
 		"models":              s.modelInfos(),
-	})
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
-		return
-	}
-	writeJSON(w, r, http.StatusOK, map[string]any{
-		"uptime_seconds": time.Since(s.started).Seconds(),
-		"trainings":      s.store.Trainings(),
-		"endpoints":      s.stats.snapshot(),
 	})
 }
 
@@ -105,34 +93,35 @@ func metricStrings(ms []sim.Metric) []string {
 	return out
 }
 
-// handleWarm is the admin pre-warm hook: it drives registry.LoadOrTrain
-// for every configured metric of the listed benchmarks, so a coordinator
-// (or an operator ahead of a demo) can place models before the first
-// sweep pays for them.
-func (s *Server) handleWarm(w http.ResponseWriter, r *http.Request) {
-	var req wire.WarmRequest
-	if !decodePost(w, r, &req) {
-		return
+// warmHandler is POST /v1/warm, the admin pre-warm hook: it decodes and
+// validates the request, then hands it to warm — a single daemon trains
+// its own registry, a peer chooses local or fleet placement by scope —
+// so an operator (or a peer placing models) can train ahead of the
+// first sweep.
+func (s *Server) warmHandler(warm func(http.ResponseWriter, *http.Request, wire.WarmRequest)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req wire.WarmRequest
+		if !api.DecodePost(w, r, &req) {
+			return
+		}
+		if err := req.Validate(); err != nil {
+			api.WriteError(w, r, http.StatusBadRequest, "%v", err)
+			return
+		}
+		warm(w, r, req)
 	}
-	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
-	s.warmLocal(w, r, req)
 }
 
-// warmLocal trains this daemon's own registry for a decoded, validated
-// warm request — shared by the worker route and a peer's local-scope
-// warm dispatch (a peer decodes once to read the scope, then either
-// trains here or fans out across the fleet).
+// warmLocal drives registry.LoadOrTrain for every configured metric of
+// the listed benchmarks on this daemon's own registry.
 func (s *Server) warmLocal(w http.ResponseWriter, r *http.Request, req wire.WarmRequest) {
 	start := time.Now()
 	before := s.store.Trainings()
 	err := s.store.Warm(r.Context(), req.Benchmarks)
 	// Partial failure still warmed something: only a warm that placed
 	// nothing is an error status. The failures of a partial warm are
-	// itemised in the 200 response instead, so a coordinator fanning this
-	// out keeps the successful placements.
+	// itemised in the 200 response instead, so a peer fanning this out
+	// keeps the successful placements.
 	var failures []error
 	if err != nil {
 		if joined, ok := err.(interface{ Unwrap() []error }); ok {
@@ -142,14 +131,14 @@ func (s *Server) warmLocal(w http.ResponseWriter, r *http.Request, req wire.Warm
 		}
 	}
 	if len(failures) == len(req.Benchmarks) {
-		httpError(w, r, registryStatus(err), "%v", err)
+		api.WriteError(w, r, registryStatus(err), "%v", err)
 		return
 	}
 	errStrings := make([]string, len(failures))
 	for i, e := range failures {
 		errStrings[i] = e.Error()
 	}
-	writeJSON(w, r, http.StatusOK, wire.WarmResponse{
+	api.WriteJSON(w, r, http.StatusOK, wire.WarmResponse{
 		Benchmarks: req.Benchmarks,
 		// The before/after diff approximates this warm's own cost; a
 		// concurrent on-demand training can inflate it, but the number
@@ -162,7 +151,7 @@ func (s *Server) warmLocal(w http.ResponseWriter, r *http.Request, req wire.Warm
 
 func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	var req wire.PredictRequest
-	if !decodePost(w, r, &req) {
+	if !api.DecodePost(w, r, &req) {
 		return
 	}
 	if len(req.Configs) > 0 || len(req.Metrics) > 0 {
@@ -173,16 +162,16 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	// request must not trigger an on-demand training run.
 	cfg, err := req.Config.Apply(space.Baseline())
 	if err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
 	p, m, status, err := s.model(r.Context(), req.Benchmark, req.Metric)
 	if err != nil {
-		httpError(w, r, status, "%v", err)
+		api.WriteError(w, r, status, "%v", err)
 		return
 	}
 	trace := p.Predict(cfg)
-	writeJSON(w, r, http.StatusOK, wire.PredictResponse{
+	api.WriteJSON(w, r, http.StatusOK, wire.PredictResponse{
 		Benchmark: req.Benchmark,
 		Metric:    m.String(),
 		Config:    wire.ToConfigJSON(cfg),
@@ -203,26 +192,26 @@ const maxBatchConfigs = 4096
 // most.
 func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req wire.PredictRequest) {
 	if req.Metric != "" || req.Config != (wire.ConfigSpec{}) {
-		httpError(w, r, http.StatusBadRequest, "use either the single form (metric, config) or the batch form (metrics, configs), not both")
+		api.WriteError(w, r, http.StatusBadRequest, "use either the single form (metric, config) or the batch form (metrics, configs), not both")
 		return
 	}
 	if len(req.Metrics) == 0 {
-		httpError(w, r, http.StatusBadRequest, "batch predict needs a non-empty metrics list")
+		api.WriteError(w, r, http.StatusBadRequest, "batch predict needs a non-empty metrics list")
 		return
 	}
 	if len(req.Configs) == 0 {
-		httpError(w, r, http.StatusBadRequest, "batch predict needs a non-empty configs list")
+		api.WriteError(w, r, http.StatusBadRequest, "batch predict needs a non-empty configs list")
 		return
 	}
 	// The body limit alone doesn't bound the configs × metrics product
 	// (1 MiB of empty configs and repeated metric names expands
 	// quadratically); cap both factors explicitly.
 	if len(req.Configs) > maxBatchConfigs {
-		httpError(w, r, http.StatusBadRequest, "batch predict accepts at most %d configs (got %d)", maxBatchConfigs, len(req.Configs))
+		api.WriteError(w, r, http.StatusBadRequest, "batch predict accepts at most %d configs (got %d)", maxBatchConfigs, len(req.Configs))
 		return
 	}
 	if len(req.Metrics) > int(sim.NumMetrics) {
-		httpError(w, r, http.StatusBadRequest, "batch predict accepts at most %d metrics (got %d)", sim.NumMetrics, len(req.Metrics))
+		api.WriteError(w, r, http.StatusBadRequest, "batch predict accepts at most %d metrics (got %d)", sim.NumMetrics, len(req.Metrics))
 		return
 	}
 	// Dedupe on the parsed metric, not the raw name: parsing is
@@ -231,11 +220,11 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 	for _, name := range req.Metrics {
 		m, err := wire.ParseMetric(name)
 		if err != nil {
-			httpError(w, r, http.StatusBadRequest, "%v", err)
+			api.WriteError(w, r, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if seenMetric[m] {
-			httpError(w, r, http.StatusBadRequest, "metric %q listed twice", name)
+			api.WriteError(w, r, http.StatusBadRequest, "metric %q listed twice", name)
 			return
 		}
 		seenMetric[m] = true
@@ -246,7 +235,7 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 	for i, cs := range req.Configs {
 		cfg, err := cs.Apply(space.Baseline())
 		if err != nil {
-			httpError(w, r, http.StatusBadRequest, "config %d: %v", i, err)
+			api.WriteError(w, r, http.StatusBadRequest, "config %d: %v", i, err)
 			return
 		}
 		configs[i] = cfg
@@ -256,7 +245,7 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 	for i, name := range req.Metrics {
 		p, m, status, err := s.model(r.Context(), req.Benchmark, name)
 		if err != nil {
-			httpError(w, r, status, "metric %d: %v", i, err)
+			api.WriteError(w, r, status, "metric %d: %v", i, err)
 			return
 		}
 		preds[i], names[i] = p, m.String()
@@ -278,14 +267,14 @@ func (s *Server) handleBatchPredict(w http.ResponseWriter, r *http.Request, req 
 		results[i] = row
 	})
 	if err != nil {
-		httpError(w, r, http.StatusServiceUnavailable, "%v", err)
+		api.WriteError(w, r, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	wireConfigs := make([]wire.ConfigJSON, len(configs))
 	for i, cfg := range configs {
 		wireConfigs[i] = wire.ToConfigJSON(cfg)
 	}
-	writeJSON(w, r, http.StatusOK, wire.BatchPredictResponse{
+	api.WriteJSON(w, r, http.StatusOK, wire.BatchPredictResponse{
 		Benchmark: req.Benchmark,
 		Metrics:   names,
 		Configs:   wireConfigs,
@@ -323,7 +312,7 @@ func (s *Server) buildObjectives(ctx context.Context, benchmark string, specs []
 
 // straggleModel is -straggle-per-design fault injection: it hides the
 // predictor's fast-path interfaces (IntoPredictor, VecPredictor) and
-// sleeps per prediction, turning this worker into a deterministic
+// sleeps per prediction, turning this node into a deterministic
 // straggler so hedged dispatch can be exercised against a real fleet.
 type straggleModel struct {
 	inner core.DynamicsModel
@@ -345,45 +334,30 @@ func mustMetric(name string) sim.Metric {
 	return m
 }
 
-// submitSweep decodes, validates and starts an async top-K job; it
-// writes the error response itself and returns nil when the request
-// died. Shared by POST /v1/sweeps (which answers 202 + job) and the
-// legacy blocking /sweep shim (which awaits the same job).
-func (s *Server) submitSweep(w http.ResponseWriter, r *http.Request) *api.Job {
-	var req wire.SweepRequest
-	if !decodePost(w, r, &req) {
-		return nil
-	}
-	// Validate the cheap request shape before a job exists: a malformed
-	// request must fail at submit, not as a dead job — and must never
-	// trigger an on-demand training run.
-	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	early, err := req.ResolveEarly()
-	if err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	return s.startJob(w, r, api.JobSweep, req.Benchmark, len(early), s.runSweep(req, early))
-}
-
-func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	if job := s.submitSweep(w, r); job != nil {
-		s.submitted(w, r, job)
+// sweepHandler is POST /v1/sweeps: decode, validate and resolve the
+// request's early design list, then start the job body run builds and
+// answer 202. A malformed request fails here, at submit — never as a
+// dead job, and never after triggering an on-demand training run.
+func (s *Server) sweepHandler(run func(wire.SweepRequest, []space.Config) api.RunFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req wire.SweepRequest
+		if !api.DecodePost(w, r, &req) {
+			return
+		}
+		if err := req.Validate(); err != nil {
+			api.WriteError(w, r, http.StatusBadRequest, "%v", err)
+			return
+		}
+		early, err := req.ResolveEarly()
+		if err != nil {
+			api.WriteError(w, r, http.StatusBadRequest, "%v", err)
+			return
+		}
+		s.submit(w, r, api.JobSweep, req.Benchmark, len(early), run(req, early))
 	}
 }
 
-// handleSweep is the legacy blocking shim: same request, same response,
-// implemented as submit + await over the /v1 job machinery.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if job := s.submitSweep(w, r); job != nil {
-		s.await(w, r, job)
-	}
-}
-
-// runSweep is the worker's top-K job body: resolve models (training on
+// runSweep is the single-node top-K job body: resolve models (training on
 // demand), materialise the space, and stream the sweep through a
 // snapshot-capable collector, publishing the partial feasible top-K on a
 // ticker while the engine runs.
@@ -461,45 +435,33 @@ func (s *Server) runSweep(req wire.SweepRequest, early []space.Config) api.RunFu
 	}
 }
 
-// submitPareto is submitSweep for frontier jobs.
-func (s *Server) submitPareto(w http.ResponseWriter, r *http.Request) *api.Job {
-	var req wire.ParetoRequest
-	if !decodePost(w, r, &req) {
-		return nil
-	}
-	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	early, err := req.ResolveEarly()
-	if err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	return s.startJob(w, r, api.JobPareto, req.Benchmark, len(early), s.runPareto(req, early))
-}
-
-func (s *Server) handleParetoSubmit(w http.ResponseWriter, r *http.Request) {
-	if job := s.submitPareto(w, r); job != nil {
-		s.submitted(w, r, job)
+// paretoHandler is sweepHandler for POST /v1/pareto.
+func (s *Server) paretoHandler(run func(wire.ParetoRequest, []space.Config) api.RunFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req wire.ParetoRequest
+		if !api.DecodePost(w, r, &req) {
+			return
+		}
+		if err := req.Validate(); err != nil {
+			api.WriteError(w, r, http.StatusBadRequest, "%v", err)
+			return
+		}
+		early, err := req.ResolveEarly()
+		if err != nil {
+			api.WriteError(w, r, http.StatusBadRequest, "%v", err)
+			return
+		}
+		s.submit(w, r, api.JobPareto, req.Benchmark, len(early), run(req, early))
 	}
 }
 
-// handlePareto is the legacy blocking shim over the frontier job.
-func (s *Server) handlePareto(w http.ResponseWriter, r *http.Request) {
-	if job := s.submitPareto(w, r); job != nil {
-		s.await(w, r, job)
-	}
-}
-
-// runPareto is the worker's frontier job body: the sweep streams through
-// an incremental FrontierCollector so the job can publish genuine
-// partial frontiers while it runs (the collector's frontier equals the
-// batch ParetoFrontier over the same designs, property-tested in
-// internal/explore). This trades the batch O(n log n) frontier the old
-// blocking /pareto used for per-candidate incremental insertion — the
-// price of partials being available at any instant; it is the same
-// streaming-collector shape /sweep has always run.
+// runPareto is the single-node frontier job body: the sweep streams
+// through an incremental FrontierCollector so the job can publish
+// genuine partial frontiers while it runs (the collector's frontier
+// equals the batch ParetoFrontier over the same designs, property-tested
+// in internal/explore) — the price of partials being available at any
+// instant is per-candidate incremental insertion instead of one batch
+// O(n log n) frontier.
 func (s *Server) runPareto(req wire.ParetoRequest, early []space.Config) api.RunFunc {
 	return func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
 		ctx, jobSpan := startJobSpan(s.tel, ctx, "job:pareto", pub, req.Benchmark)
@@ -559,10 +521,10 @@ func (s *Server) runPareto(req wire.ParetoRequest, early []space.Config) api.Run
 
 // startJobSpan opens a job's root-on-this-node span and binds the job
 // ID to its trace in the store, so GET /v1/jobs/{id}/trace can find it.
-// When the submitting request carried a traceparent (a coordinator's
-// shard dispatch), the job span lands under it and the whole sweep
-// assembles into one fleet-wide tree. Shared by worker and coordinator
-// job bodies.
+// When the submitting request carried a traceparent (a coordinating
+// peer's shard dispatch), the job span lands under it and the whole
+// sweep assembles into one fleet-wide tree. Shared by the single-node
+// and fleet-scope job bodies.
 func startJobSpan(tel *telemetry, ctx context.Context, name string, pub api.Publisher, benchmark string) (context.Context, *obs.ActiveSpan) {
 	ctx, span := tel.tracer.Start(ctx, name)
 	span.SetAttr("job_id", pub.JobID())

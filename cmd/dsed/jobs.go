@@ -14,11 +14,10 @@ import (
 	"repro/internal/obs"
 )
 
-// This file is the serving side of the async job API shared by worker
-// and coordinator modes: the /v1/jobs/{id} route family (status, NDJSON
-// stream, cancel), the submit/await glue the legacy blocking shims
-// reuse, and the snapshot-friendly collector wrappers the worker's job
-// runners stream partial results through.
+// This file is the serving side of the async job API shared by single
+// daemons and peers: the /v1/jobs/{id} route family (status, NDJSON
+// stream, cancel), job submission, and the snapshot-friendly collector
+// wrappers the local job runners stream partial results through.
 
 // jobAPI embeds the job table into a serving layer.
 type jobAPI struct {
@@ -30,7 +29,7 @@ type jobAPI struct {
 // by ?state=, ?benchmark= and ?kind=, page-bounded by ?limit=. Results
 // stay behind GET /v1/jobs/{id}.
 func (a *jobAPI) handleJobs(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	if !api.RequireGet(w, r) {
 		return
 	}
 	q := r.URL.Query()
@@ -42,25 +41,25 @@ func (a *jobAPI) handleJobs(w http.ResponseWriter, r *http.Request) {
 	switch f.State {
 	case "", api.StateRunning, api.StateDone, api.StateFailed, api.StateCanceled:
 	default:
-		httpError(w, r, http.StatusBadRequest, "unknown state %q (running, done, failed, canceled)", f.State)
+		api.WriteError(w, r, http.StatusBadRequest, "unknown state %q (running, done, failed, canceled)", f.State)
 		return
 	}
 	switch f.Kind {
 	case "", api.JobSweep, api.JobPareto:
 	default:
-		httpError(w, r, http.StatusBadRequest, "unknown kind %q (sweep, pareto)", f.Kind)
+		api.WriteError(w, r, http.StatusBadRequest, "unknown kind %q (sweep, pareto)", f.Kind)
 		return
 	}
 	if s := q.Get("limit"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n <= 0 {
-			httpError(w, r, http.StatusBadRequest, "limit must be a positive integer, got %q", s)
+			api.WriteError(w, r, http.StatusBadRequest, "limit must be a positive integer, got %q", s)
 			return
 		}
 		f.Limit = n
 	}
 	jobs := a.jobs.List(f)
-	writeJSON(w, r, http.StatusOK, map[string]any{
+	api.WriteJSON(w, r, http.StatusOK, map[string]any{
 		"jobs":  jobs,
 		"count": len(jobs),
 	})
@@ -74,19 +73,19 @@ func (a *jobAPI) handleJob(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		job, err := a.jobs.Get(id)
 		if err != nil {
-			httpError(w, r, http.StatusNotFound, "%v", err)
+			api.WriteError(w, r, http.StatusNotFound, "%v", err)
 			return
 		}
-		writeJSON(w, r, http.StatusOK, job.Status(true))
+		api.WriteJSON(w, r, http.StatusOK, job.Status(true))
 	case http.MethodDelete:
 		job, err := a.jobs.Cancel(id)
 		if err != nil {
-			httpError(w, r, http.StatusNotFound, "%v", err)
+			api.WriteError(w, r, http.StatusNotFound, "%v", err)
 			return
 		}
-		writeJSON(w, r, http.StatusOK, job.Status(false))
+		api.WriteJSON(w, r, http.StatusOK, job.Status(false))
 	default:
-		httpError(w, r, http.StatusMethodNotAllowed, "use GET to poll or DELETE to cancel")
+		api.WriteError(w, r, http.StatusMethodNotAllowed, "use GET to poll or DELETE to cancel")
 	}
 }
 
@@ -97,20 +96,20 @@ func (a *jobAPI) handleJob(w http.ResponseWriter, r *http.Request) {
 // retention horizon — or without the parameter — it is primed with the
 // latest cumulative snapshot, so disconnects lose nothing either way.
 func (a *jobAPI) handleJobStream(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	if !api.RequireGet(w, r) {
 		return
 	}
 	if !api.Negotiable(r, api.ContentNDJSON) {
-		httpError(w, r, http.StatusNotAcceptable, "the job stream answers %s", api.ContentNDJSON)
+		api.WriteError(w, r, http.StatusNotAcceptable, "the job stream answers %s", api.ContentNDJSON)
 		return
 	}
 	job, err := a.jobs.Get(r.PathValue("id"))
 	if err != nil {
-		httpError(w, r, http.StatusNotFound, "%v", err)
+		api.WriteError(w, r, http.StatusNotFound, "%v", err)
 		return
 	}
 	// ?updates=final suppresses intermediate snapshots: consumers that
-	// only want the answer (the cluster shard transport, blocking
+	// only want the answer (the cluster shard transport, one-shot
 	// clients) keep the one-stream mechanism without paying
 	// serialization for partials they would discard.
 	finalOnly := r.URL.Query().Get("updates") == "final"
@@ -118,7 +117,7 @@ func (a *jobAPI) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	if s := r.URL.Query().Get("from_seq"); s != "" {
 		n, err := strconv.Atoi(s)
 		if err != nil || n < 0 {
-			httpError(w, r, http.StatusBadRequest, "from_seq must be a non-negative integer, got %q", s)
+			api.WriteError(w, r, http.StatusBadRequest, "from_seq must be a non-negative integer, got %q", s)
 			return
 		}
 		from = n
@@ -170,76 +169,36 @@ func (a *jobAPI) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// submitted answers a successful /v1 job submission: 202 Accepted, the
-// job's initial status, and a Location pointing at the poll route.
-func (a *jobAPI) submitted(w http.ResponseWriter, r *http.Request, job *api.Job) {
-	w.Header().Set("Location", "/v1/jobs/"+job.ID)
-	writeJSON(w, r, http.StatusAccepted, job.Status(false))
-}
-
-// await is the legacy blocking shim's tail: wait for the job the shim
-// just submitted, answering exactly like the historical synchronous
-// route — same payload on success, same status and string error
-// envelope on failure. A client disconnect cancels the job, as aborting
-// the old blocking request used to.
-func (a *jobAPI) await(w http.ResponseWriter, r *http.Request, job *api.Job) {
-	select {
-	case <-job.Done():
-	case <-r.Context().Done():
-		_, _ = a.jobs.Cancel(job.ID)
-		<-job.Done()
-	}
-	// The historical synchronous routes retained nothing once the
-	// response was written; dropping the job keeps that true.
-	defer a.jobs.Forget(job.ID)
-	result, errBody := job.Result()
-	if errBody != nil {
-		httpError(w, r, errBody.Status, "%s", errBody.Message)
-		return
-	}
-	writeJSON(w, r, http.StatusOK, result)
-}
-
-// startJob starts the submission's job, translating a full job table
-// into the structured 429. Legacy shims start unbounded: the historical
-// synchronous routes were limited only by HTTP concurrency, so the
-// shims must not invent a 429 failure mode (isV1 tells the two apart —
-// the same helper serves both route families).
-func (a *jobAPI) startJob(w http.ResponseWriter, r *http.Request, kind api.JobKind, benchmark string, designs int, run api.RunFunc) *api.Job {
+// submit starts a job and answers the submission: 202 Accepted, the
+// job's initial status, and a Location pointing at the poll route. A
+// full job table is the structured, retryable 429.
+func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request, kind api.JobKind, benchmark string, designs int, run api.RunFunc) {
 	// The job detaches from the request context on purpose (one
 	// impatient client must not abort shared work), but its identity
 	// must not detach with it: re-inject the request ID and the caller's
-	// span context, so a worker's job spans parent under the
-	// coordinator's dispatch span and one request ID threads the whole
-	// fan-out.
+	// span context, so a shard's job spans parent under the coordinating
+	// peer's dispatch span and one request ID threads the whole fan-out.
 	reqID := api.RequestID(r.Context())
 	parent, hasParent := obs.SpanFromContext(r.Context())
-	inner := run
-	run = func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
+	job, err := a.jobs.Start(kind, benchmark, designs, func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
 		if reqID != "" {
 			ctx = api.WithRequestID(ctx, reqID)
 		}
 		if hasParent {
 			ctx = obs.ContextWithSpan(ctx, parent)
 		}
-		return inner(ctx, pub)
-	}
-	var job *api.Job
-	var err error
-	if isV1(r) {
-		job, err = a.jobs.Start(kind, benchmark, designs, run)
-	} else {
-		job, err = a.jobs.StartUnbounded(kind, benchmark, designs, run)
-	}
+		return run(ctx, pub)
+	})
 	if err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, api.ErrTooManyJobs) {
 			status = http.StatusTooManyRequests
 		}
-		httpError(w, r, status, "%v", err)
-		return nil
+		api.WriteError(w, r, status, "%v", err)
+		return
 	}
-	return job
+	w.Header().Set("Location", "/v1/jobs/"+job.ID)
+	api.WriteJSON(w, r, http.StatusAccepted, job.Status(false))
 }
 
 // streamInterval paces a local job's progress snapshots: coarse enough

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"log"
 	"math/rand"
@@ -46,13 +47,21 @@ const gossipTimeout = 2 * time.Second
 // replicateTimeout bounds one replication push per replica.
 const replicateTimeout = 2 * time.Second
 
-// peerOptions carries peer-mode flags: the coordinator knobs plus the
-// replication factor. The heartbeat interval doubles as the gossip
-// round interval.
+// peerOptions carries peer-mode flags: the coordinator knobs, the
+// gossip round interval (-heartbeat) and the replication factor.
 type peerOptions struct {
-	coordOptions
-	replicate int
+	shardSize     int
+	targetShardMS int
+	interval      time.Duration
+	policy        string
+	hedgeFactor   float64
+	replicate     int
 }
+
+// missedRounds is how many gossip intervals a scheduling member may go
+// without a projection refresh before the coordinator's lease lapses:
+// tolerant of one lost round and one slow one.
+const missedRounds = 3
 
 // peerServer is the serving layer of peer mode. It shares the worker's
 // Server (registry, job table, telemetry) so local-scope shards and
@@ -74,11 +83,11 @@ type peerServer struct {
 	clients   map[string]*dsedclient.Client
 }
 
-// newPeerServer wires a worker into a symmetric peer: a coordinator
-// over an initially-empty fleet (membership arrives from gossip, not
-// registration) and a gossip table aged at the -heartbeat interval.
+// newPeerServer wires a daemon into a symmetric peer: a coordinator
+// over an initially-empty fleet (membership arrives from gossip) and a
+// gossip table aged at the -heartbeat interval.
 func newPeerServer(srv *Server, self string, peers []string, opts peerOptions, logger *log.Logger) (*peerServer, error) {
-	interval := opts.heartbeat
+	interval := opts.interval
 	if interval <= 0 {
 		interval = 5 * time.Second
 	}
@@ -92,7 +101,7 @@ func newPeerServer(srv *Server, self string, peers []string, opts peerOptions, l
 	coord, err := cluster.New(nil, cluster.Options{
 		ShardSize:       opts.shardSize,
 		TargetShardTime: time.Duration(opts.targetShardMS) * time.Millisecond,
-		HeartbeatTTL:    missedHeartbeats * interval,
+		HeartbeatTTL:    missedRounds * interval,
 		Policy:          placement,
 		HedgeFactor:     opts.hedgeFactor,
 		Obs:             srv.tel.reg,
@@ -154,49 +163,39 @@ func (ps *peerServer) client(addr string) *dsedclient.Client {
 	return c
 }
 
-// Handler routes the peer's surface: the full worker surface, the
-// fleet-scope sweep/pareto/warm dispatch, the gossip and replication
-// seams, and job routes that follow a job to wherever it lives now.
+// Handler serves the daemon's route table with peer mode's own routes
+// added or overridden: the enriched healthz, fleet-scope warm and job
+// submission (chosen by the request's scope), the gossip and
+// replication seams, and job routes that follow a job to wherever it
+// lives now.
 func (ps *peerServer) Handler() http.Handler {
 	s := ps.srv
-	mux := http.NewServeMux()
-	known := make(map[string]bool)
-	reg := func(pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(pattern, h)
-		known[pattern] = true
-	}
-	reg("/v1/healthz", negotiated(ps.handleHealthz))
-	reg("/v1/benchmarks", negotiated(s.handleBenchmarks))
-	reg("/v1/metrics", negotiated(s.handleMetrics))
-	reg("/v1/metricsz", s.tel.handleMetricsz)
-	reg("/v1/predict", negotiated(s.handlePredict))
-	reg("/v1/warm", negotiated(ps.handleWarm))
-	reg("/v1/sweeps", negotiated(ps.handleSweepSubmit))
-	reg("/v1/pareto", negotiated(ps.handleParetoSubmit))
-	reg("/v1/gossip", negotiated(ps.handleGossip))
+	routes := s.routes()
+	routes["/v1/healthz"] = negotiated(ps.handleHealthz)
+	routes["/v1/warm"] = negotiated(s.warmHandler(ps.warm))
+	routes["/v1/sweeps"] = negotiated(s.sweepHandler(ps.runSweep))
+	routes["/v1/pareto"] = negotiated(s.paretoHandler(ps.runPareto))
+	routes["/v1/gossip"] = negotiated(ps.handleGossip)
 	// The literal route wins over /v1/jobs/{id}, so "replicate" is not a
 	// reachable job ID.
-	reg("/v1/jobs/replicate", negotiated(ps.handleReplicate))
-	reg("/v1/jobs", negotiated(s.handleJobs))
-	reg("/v1/jobs/{id}", negotiated(ps.routeJob(s.handleJob)))
-	reg("/v1/jobs/{id}/stream", ps.routeJob(s.handleJobStream))
-	reg("/v1/jobs/{id}/trace", negotiated(ps.routeJob(s.tel.handleJobTrace)))
-	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
-		api.WriteError(w, r, http.StatusNotFound, "no such /v1 route %q", r.URL.Path)
-	})
-	reg("/healthz", deprecated("/v1/healthz", ps.handleHealthz))
-	reg("/benchmarks", deprecated("/v1/benchmarks", s.handleBenchmarks))
-	reg("/metrics", deprecated("/v1/metrics", s.handleMetrics))
-	reg("/predict", deprecated("/v1/predict", s.handlePredict))
-	reg("/warm", deprecated("/v1/warm", ps.handleWarm))
-	reg("/sweep", deprecated("/v1/sweeps", ps.handleSweepBlocking))
-	reg("/pareto", deprecated("/v1/pareto", ps.handleParetoBlocking))
-	return instrument(mux, s.stats, known, s.reqLog)
+	routes["/v1/jobs/replicate"] = negotiated(ps.handleReplicate)
+	routes["/v1/jobs/{id}"] = negotiated(ps.routeJob(s.handleJob))
+	routes["/v1/jobs/{id}/stream"] = ps.routeJob(s.handleJobStream)
+	routes["/v1/jobs/{id}/trace"] = negotiated(ps.routeJob(s.tel.handleJobTrace))
+	return s.serveRoutes(routes)
 }
 
+// handleHealthz reports the single-daemon health fields plus the fleet:
+// one row per gossip member, joined with its scheduling row (fault
+// taxonomy, load, latency estimate) when it is in the coordinator's
+// member table, and the coordinator's policy, hedge and retry totals.
 func (ps *peerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	if !api.RequireGet(w, r) {
 		return
+	}
+	scheduling := make(map[string]cluster.MemberStatus)
+	for _, m := range ps.coord.Members() {
+		scheduling[m.Name] = m
 	}
 	members := ps.table.Snapshot()
 	peers := make([]map[string]any, len(members))
@@ -220,9 +219,25 @@ func (ps *peerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		if len(m.QueueDepths) > 0 {
 			entry["queue_depths"] = m.QueueDepths
 		}
+		if sm, ok := scheduling["http://"+m.Addr]; ok {
+			// failures are transport faults and timeouts (a sick peer);
+			// rejections are its deterministic 4xx verdicts on bad
+			// requests — never evidence against the peer itself; busy
+			// counts its retryable 429 at-capacity verdicts, so an
+			// operator can tell a saturated fleet from a sick one.
+			entry["failures"] = sm.Failures
+			entry["rejections"] = sm.Rejections
+			entry["busy"] = sm.Busy
+			entry["inflight"] = sm.Inflight
+			entry["shards_done"] = sm.ShardsDone
+			if sm.EWMAPerDesignMS > 0 {
+				entry["ewma_ms_per_design"] = sm.EWMAPerDesignMS
+			}
+		}
 		peers[i] = entry
 	}
-	writeJSON(w, r, http.StatusOK, map[string]any{
+	issued, won, wasted := ps.coord.HedgeStats()
+	api.WriteJSON(w, r, http.StatusOK, map[string]any{
 		"status":             "ok",
 		"mode":               "peer",
 		"self":               ps.self,
@@ -230,9 +245,20 @@ func (ps *peerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"alive_peers":        alive,
 		"replication_factor": ps.repFactor,
 		"replicated_jobs":    ps.replicas.size(),
-		"peers":              peers,
-		"trainings":          ps.srv.store.Trainings(),
-		"models":             ps.srv.modelInfos(),
+		// The placement policy this peer schedules its fleet jobs with
+		// (-policy) and its lifetime hedged-dispatch totals: issued
+		// speculative attempts, hedges whose answer merged first, hedges
+		// that bought nothing.
+		"policy": ps.coord.PolicyName(),
+		"hedges": map[string]int{
+			"issued": issued,
+			"won":    won,
+			"wasted": wasted,
+		},
+		"retries":   ps.coord.Retries(),
+		"peers":     peers,
+		"trainings": ps.srv.store.Trainings(),
+		"models":    ps.srv.modelInfos(),
 	})
 }
 
@@ -241,16 +267,16 @@ func (ps *peerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // send our digest back.
 func (ps *peerServer) handleGossip(w http.ResponseWriter, r *http.Request) {
 	var req wire.GossipRequest
-	if !decodePost(w, r, &req) {
+	if !api.DecodePost(w, r, &req) {
 		return
 	}
 	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
 	ps.table.Merge(req.Entries)
 	ps.table.Witness(req.From)
-	writeJSON(w, r, http.StatusOK, wire.GossipResponse{From: ps.self, Entries: ps.table.Digest()})
+	api.WriteJSON(w, r, http.StatusOK, wire.GossipResponse{From: ps.self, Entries: ps.table.Digest()})
 }
 
 // handleReplicate accepts a job's latest recoverable state from its
@@ -258,11 +284,11 @@ func (ps *peerServer) handleGossip(w http.ResponseWriter, r *http.Request) {
 // notice retires the entry.
 func (ps *peerServer) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	var req wire.ReplicateRequest
-	if !decodePost(w, r, &req) {
+	if !api.DecodePost(w, r, &req) {
 		return
 	}
 	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, r, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if req.Done {
@@ -270,7 +296,7 @@ func (ps *peerServer) handleReplicate(w http.ResponseWriter, r *http.Request) {
 	} else {
 		ps.replicas.put(req)
 	}
-	writeJSON(w, r, http.StatusOK, wire.ReplicateResponse{JobID: req.JobID, Seq: req.Seq})
+	api.WriteJSON(w, r, http.StatusOK, wire.ReplicateResponse{JobID: req.JobID, Seq: req.Seq})
 }
 
 // routeJob follows a job to wherever it lives now. A job in the local
@@ -319,89 +345,30 @@ func redirectTo(w http.ResponseWriter, r *http.Request, addr string) {
 	http.Redirect(w, r, "http://"+addr+r.URL.RequestURI(), http.StatusTemporaryRedirect)
 }
 
-// submitSweep decodes and validates a sweep, then starts it at the
-// request's scope: a local-scope request is a shard another peer placed
-// here and runs on this node's own models; anything else is a
-// fleet-scope job this peer owns, coordinates, and replicates.
-func (ps *peerServer) submitSweep(w http.ResponseWriter, r *http.Request) *api.Job {
-	var req wire.SweepRequest
-	if !decodePost(w, r, &req) {
-		return nil
-	}
-	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	early, err := req.ResolveEarly()
-	if err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil
-	}
+// runSweep chooses a validated sweep's job body by scope: a local-scope
+// request is a shard another peer placed here and runs on this node's
+// own models; anything else is a fleet-scope job this peer owns,
+// coordinates, and replicates.
+func (ps *peerServer) runSweep(req wire.SweepRequest, early []space.Config) api.RunFunc {
 	if req.Scope == wire.ScopeLocal {
-		return ps.srv.startJob(w, r, api.JobSweep, req.Benchmark, len(early), ps.srv.runSweep(req, early))
+		return ps.srv.runSweep(req, early)
 	}
-	job := fleetJob{kind: api.JobSweep, sweep: &req}
-	return ps.srv.startJob(w, r, api.JobSweep, req.Benchmark, len(early), ps.runFleet(job, early, nil))
+	return ps.runFleet(fleetJob{kind: api.JobSweep, sweep: &req}, early, nil)
 }
 
-func (ps *peerServer) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
-	if job := ps.submitSweep(w, r); job != nil {
-		ps.srv.submitted(w, r, job)
-	}
-}
-
-func (ps *peerServer) handleSweepBlocking(w http.ResponseWriter, r *http.Request) {
-	if job := ps.submitSweep(w, r); job != nil {
-		ps.srv.await(w, r, job)
-	}
-}
-
-// submitPareto is submitSweep for frontier jobs.
-func (ps *peerServer) submitPareto(w http.ResponseWriter, r *http.Request) *api.Job {
-	var req wire.ParetoRequest
-	if !decodePost(w, r, &req) {
-		return nil
-	}
-	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil
-	}
-	early, err := req.ResolveEarly()
-	if err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return nil
-	}
+// runPareto is runSweep for frontier jobs.
+func (ps *peerServer) runPareto(req wire.ParetoRequest, early []space.Config) api.RunFunc {
 	if req.Scope == wire.ScopeLocal {
-		return ps.srv.startJob(w, r, api.JobPareto, req.Benchmark, len(early), ps.srv.runPareto(req, early))
+		return ps.srv.runPareto(req, early)
 	}
-	job := fleetJob{kind: api.JobPareto, pareto: &req}
-	return ps.srv.startJob(w, r, api.JobPareto, req.Benchmark, len(early), ps.runFleet(job, early, nil))
+	return ps.runFleet(fleetJob{kind: api.JobPareto, pareto: &req}, early, nil)
 }
 
-func (ps *peerServer) handleParetoSubmit(w http.ResponseWriter, r *http.Request) {
-	if job := ps.submitPareto(w, r); job != nil {
-		ps.srv.submitted(w, r, job)
-	}
-}
-
-func (ps *peerServer) handleParetoBlocking(w http.ResponseWriter, r *http.Request) {
-	if job := ps.submitPareto(w, r); job != nil {
-		ps.srv.await(w, r, job)
-	}
-}
-
-// handleWarm trains locally at local scope, and places models across
-// the gossip-built fleet otherwise (same partial-failure policy as the
-// coordinator's warm).
-func (ps *peerServer) handleWarm(w http.ResponseWriter, r *http.Request) {
-	var req wire.WarmRequest
-	if !decodePost(w, r, &req) {
-		return
-	}
-	if err := req.Validate(); err != nil {
-		httpError(w, r, http.StatusBadRequest, "%v", err)
-		return
-	}
+// warm trains locally at local scope, and places models across the
+// gossip-built fleet otherwise. Only a total failure is an error status;
+// a partially warmed fleet is reported like a degraded sweep — the
+// successful placements stand, with the failures itemised.
+func (ps *peerServer) warm(w http.ResponseWriter, r *http.Request, req wire.WarmRequest) {
 	if req.Scope == wire.ScopeLocal {
 		ps.srv.warmLocal(w, r, req)
 		return
@@ -410,19 +377,35 @@ func (ps *peerServer) handleWarm(w http.ResponseWriter, r *http.Request) {
 	res := ps.coord.Warm(r.Context(), req.Benchmarks)
 	if res.Workers > 0 && len(res.Errors) == res.Workers {
 		err := errors.Join(res.Errors...)
-		httpError(w, r, clusterStatus(err), "%v", err)
+		api.WriteError(w, r, clusterStatus(err), "%v", err)
 		return
 	}
 	errStrings := make([]string, len(res.Errors))
 	for i, e := range res.Errors {
 		errStrings[i] = e.Error()
 	}
-	writeJSON(w, r, http.StatusOK, wire.WarmResponse{
+	api.WriteJSON(w, r, http.StatusOK, wire.WarmResponse{
 		Benchmarks: req.Benchmarks,
 		Trainings:  res.Trainings,
 		ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
 		Errors:     errStrings,
 	})
+}
+
+// clusterStatus maps a fleet warm's failure onto an HTTP status: a
+// peer's deterministic 4xx rejection is forwarded unchanged (the fleet
+// answers exactly like a single daemon), the client cancelling is not a
+// fleet fault, and everything else is a gateway error (the fleet, not
+// this peer, failed the request).
+func clusterStatus(err error) int {
+	var rejected *cluster.WorkerRejection
+	if errors.As(err, &rejected) {
+		return rejected.Status
+	}
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadGateway
 }
 
 // fleetJob is one distributed job's spec in replicable form: exactly
@@ -454,6 +437,37 @@ func (f fleetJob) replicaKind() string {
 		return wire.ReplicaSweep
 	}
 	return wire.ReplicaPareto
+}
+
+// queryFromSweep builds the cluster query from a validated request.
+func queryFromSweep(req wire.SweepRequest) cluster.Query {
+	constraints := make([]explore.Constraint, len(req.Constraints))
+	for i, c := range req.Constraints {
+		constraints[i] = explore.Constraint{Objective: c.Objective, Max: c.Max}
+	}
+	return cluster.Query{
+		Benchmark:   req.Benchmark,
+		Objectives:  req.Objectives,
+		TopK:        req.TopK,
+		Objective:   req.Objective,
+		Constraints: constraints,
+	}
+}
+
+// objectiveNames labels the specs through the same Build path a shard's
+// evaluating node uses. Validate ran first and calls Build itself, so a
+// failure here is drift between the two and must not pass silently as
+// an empty name.
+func objectiveNames(specs []wire.ObjectiveSpec) []string {
+	objectives := make([]explore.Objective, len(specs))
+	for i, spec := range specs {
+		obj, err := spec.Build()
+		if err != nil {
+			panic(fmt.Sprintf("dsed: objective %d passed Validate but failed Build: %v", i, err))
+		}
+		objectives[i] = obj
+	}
+	return wire.ObjectiveNames(objectives)
 }
 
 func (f fleetJob) query() cluster.Query {
@@ -877,11 +891,7 @@ func (ps *peerServer) loop(ctx context.Context) {
 }
 
 func (ps *peerServer) round(ctx context.Context) {
-	inventory := ps.srv.store.Trained()
-	if len(inventory) > wire.MaxInventoryBenchmarks {
-		inventory = inventory[:wire.MaxInventoryBenchmarks]
-	}
-	ps.table.SetLocalInfo(ps.srv.workers, inventory, ps.srv.QueueDepths())
+	ps.advertise()
 	if target := ps.gossipTarget(); target != "" {
 		ps.exchange(ctx, target)
 	}
@@ -889,6 +899,16 @@ func (ps *peerServer) round(ctx context.Context) {
 	ps.syncGossipMembership()
 	ps.adoptOrphans(ctx)
 	ps.replicas.expire(replicaTTL)
+}
+
+// advertise refreshes this node's own gossip entry with its live
+// inventory and queue depths.
+func (ps *peerServer) advertise() {
+	inventory := ps.srv.store.Trained()
+	if len(inventory) > wire.MaxInventoryBenchmarks {
+		inventory = inventory[:wire.MaxInventoryBenchmarks]
+	}
+	ps.table.SetLocalInfo(ps.srv.workers, inventory, ps.srv.QueueDepths())
 }
 
 // gossipTarget picks a random peer to exchange digests with: the

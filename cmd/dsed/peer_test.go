@@ -15,8 +15,7 @@ import (
 func testPeer(t *testing.T, self string) *peerServer {
 	t.Helper()
 	ps, err := newPeerServer(testServer(t), self, nil, peerOptions{
-		coordOptions: coordOptions{policy: "affinity", heartbeat: time.Second},
-		replicate:    1,
+		policy: "affinity", interval: time.Second, replicate: 1,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

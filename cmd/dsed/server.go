@@ -19,8 +19,7 @@ import (
 // Server is the serving layer over the model registry: it owns no models
 // itself, translating HTTP queries into registry lookups (training
 // missing benchmarks on demand) and exploration-engine sweeps.
-// Exploration runs as async /v1 jobs; the legacy blocking routes are
-// deprecation shims that submit the same job and await it.
+// Exploration runs as async /v1 jobs.
 type Server struct {
 	store *registry.Store
 	// workers bounds query-evaluation parallelism (0 = GOMAXPROCS).
@@ -36,7 +35,7 @@ type Server struct {
 	chunkN  *obs.Histogram
 	// straggle, when positive, injects a per-design sleep into every
 	// sweep-job model (-straggle-per-design): a deliberate straggler for
-	// exercising the coordinator's hedged dispatch end-to-end.
+	// exercising a peer fleet's hedged dispatch end-to-end.
 	straggle time.Duration
 	jobAPI
 }
@@ -48,7 +47,7 @@ type Server struct {
 // tests).
 func NewServer(ctx context.Context, store *registry.Store, workers int, reqLog *log.Logger, tel *telemetry) *Server {
 	if tel == nil {
-		tel = newTelemetry("worker")
+		tel = newTelemetry("daemon")
 	}
 	return &Server{
 		store:   store,
@@ -72,50 +71,62 @@ func NewServer(ctx context.Context, store *registry.Store, workers int, reqLog *
 	}
 }
 
-// QueueDepths reports running jobs per benchmark — what membership
-// heartbeats advertise so the coordinator can spill away from busy
-// workers.
+// QueueDepths reports running jobs per benchmark — what a peer's gossip
+// entry advertises so coordinating peers can spill away from busy
+// nodes.
 func (s *Server) QueueDepths() map[string]int {
 	return s.jobs.RunningByBenchmark()
 }
 
-// Handler routes the daemon's endpoints behind the request-ID /
-// logging / metrics middleware: the versioned /v1 surface, and the
-// original unversioned routes as deprecation shims delegating to the
-// same handlers (identical historical payloads, Deprecation headers).
-func (s *Server) Handler() http.Handler {
+// routes is the /v1 route table of a single daemon, pattern → handler.
+// It is the one place the shared surface is listed: peer mode starts
+// from it and overrides only the routes it serves differently.
+func (s *Server) routes() map[string]http.HandlerFunc {
+	return map[string]http.HandlerFunc{
+		"/v1/healthz":          negotiated(s.handleHealthz),
+		"/v1/benchmarks":       negotiated(s.handleBenchmarks),
+		"/v1/metricsz":         s.tel.handleMetricsz,
+		"/v1/predict":          negotiated(s.handlePredict),
+		"/v1/warm":             negotiated(s.warmHandler(s.warmLocal)),
+		"/v1/sweeps":           negotiated(s.sweepHandler(s.runSweep)),
+		"/v1/pareto":           negotiated(s.paretoHandler(s.runPareto)),
+		"/v1/jobs":             negotiated(s.handleJobs),
+		"/v1/jobs/{id}":        negotiated(s.handleJob),
+		"/v1/jobs/{id}/stream": s.handleJobStream,
+		"/v1/jobs/{id}/trace":  negotiated(s.tel.handleJobTrace),
+	}
+}
+
+// Handler serves the single-daemon route table.
+func (s *Server) Handler() http.Handler { return s.serveRoutes(s.routes()) }
+
+// serveRoutes mounts a route table behind the request-ID / logging /
+// metrics middleware. Unknown /v1 paths answer the structured 404;
+// every route pattern gets its own metric series.
+func (s *Server) serveRoutes(routes map[string]http.HandlerFunc) http.Handler {
 	mux := http.NewServeMux()
-	known := make(map[string]bool)
-	reg := func(pattern string, h http.HandlerFunc) {
+	known := make(map[string]bool, len(routes))
+	for pattern, h := range routes {
 		mux.HandleFunc(pattern, h)
 		known[pattern] = true
 	}
-	// The versioned surface.
-	reg("/v1/healthz", negotiated(s.handleHealthz))
-	reg("/v1/benchmarks", negotiated(s.handleBenchmarks))
-	reg("/v1/metrics", negotiated(s.handleMetrics))
-	reg("/v1/metricsz", s.tel.handleMetricsz)
-	reg("/v1/predict", negotiated(s.handlePredict))
-	reg("/v1/warm", negotiated(s.handleWarm))
-	reg("/v1/sweeps", negotiated(s.handleSweepSubmit))
-	reg("/v1/pareto", negotiated(s.handleParetoSubmit))
-	reg("/v1/jobs", negotiated(s.handleJobs))
-	reg("/v1/jobs/{id}", negotiated(s.handleJob))
-	reg("/v1/jobs/{id}/stream", s.handleJobStream)
-	reg("/v1/jobs/{id}/trace", negotiated(s.tel.handleJobTrace))
-	mux.HandleFunc("/v1/", func(w http.ResponseWriter, r *http.Request) {
-		api.WriteError(w, r, http.StatusNotFound, "no such /v1 route %q", r.URL.Path)
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		api.WriteError(w, r, http.StatusNotFound, "no such route %q (the API lives under %s/)", r.URL.Path, api.Version)
 	})
-	// Legacy shims (deprecation policy: kept indefinitely, answering
-	// their historical payloads, advertising the /v1 successor).
-	reg("/healthz", deprecated("/v1/healthz", s.handleHealthz))
-	reg("/benchmarks", deprecated("/v1/benchmarks", s.handleBenchmarks))
-	reg("/metrics", deprecated("/v1/metrics", s.handleMetrics))
-	reg("/predict", deprecated("/v1/predict", s.handlePredict))
-	reg("/warm", deprecated("/v1/warm", s.handleWarm))
-	reg("/sweep", deprecated("/v1/sweeps", s.handleSweep))
-	reg("/pareto", deprecated("/v1/pareto", s.handlePareto))
 	return instrument(mux, s.stats, known, s.reqLog)
+}
+
+// negotiated guards a /v1 JSON endpoint: a client that explicitly
+// refuses application/json gets 406 with the structured error model
+// instead of a body it declared it cannot read.
+func negotiated(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !api.Negotiable(r, api.ContentJSON) {
+			api.WriteError(w, r, http.StatusNotAcceptable, "this endpoint answers %s", api.ContentJSON)
+			return
+		}
+		h(w, r)
+	}
 }
 
 // model resolves one (benchmark, metric) pair, training the benchmark on

@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -13,7 +15,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/sim"
@@ -103,10 +107,51 @@ func postJSON(t *testing.T, ts *httptest.Server, path string, body any, out any)
 	return resp.StatusCode
 }
 
+// jobOutcome is a settled job's status as GET /v1/jobs/{id} serves it.
+type jobOutcome struct {
+	ID     string          `json:"id"`
+	State  api.JobState    `json:"state"`
+	Error  *api.Error      `json:"error"`
+	Result json.RawMessage `json:"result"`
+}
+
+// runJob submits body to a /v1 job route and waits for the job to
+// settle. The status is what a client observes: the submission's when
+// it was refused, 200 for a done job, and the structured error's status
+// for a failed one.
+func runJob(t *testing.T, ts *httptest.Server, path string, body any) (int, jobOutcome) {
+	t.Helper()
+	var st jobOutcome
+	if status := postJSON(t, ts, path, body, &st); status != http.StatusAccepted {
+		return status, st
+	}
+	st = awaitJob(t, ts, st.ID)
+	if st.State == api.StateDone {
+		return http.StatusOK, st
+	}
+	if st.Error == nil {
+		t.Fatalf("job %s settled %s without an error body", st.ID, st.State)
+	}
+	return st.Error.Status, st
+}
+
+// jobResult is runJob decoding a done job's result into out (nil
+// discards it).
+func jobResult(t *testing.T, ts *httptest.Server, path string, body, out any) int {
+	t.Helper()
+	status, st := runJob(t, ts, path, body)
+	if status == http.StatusOK && out != nil {
+		if err := json.Unmarshal(st.Result, out); err != nil {
+			t.Fatalf("%s: decoding job result: %v", path, err)
+		}
+	}
+	return status
+}
+
 func TestHealthzEndpoint(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,15 +172,15 @@ func TestHealthzEndpoint(t *testing.T) {
 	if health.Models[0].Networks == 0 || health.Models[0].TraceLen != 16 {
 		t.Errorf("model inventory incomplete: %+v", health.Models[0])
 	}
-	if status := postJSON(t, ts, "/healthz", map[string]any{}, nil); status != http.StatusMethodNotAllowed {
-		t.Errorf("POST /healthz status %d, want 405", status)
+	if status := postJSON(t, ts, "/v1/healthz", map[string]any{}, nil); status != http.StatusMethodNotAllowed {
+		t.Errorf("POST /v1/healthz status %d, want 405", status)
 	}
 }
 
 func TestBenchmarksEndpoint(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/benchmarks")
+	resp, err := http.Get(ts.URL + "/v1/benchmarks")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,40 +215,83 @@ func TestBenchmarksEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsEndpoint pins the request accounting on the Prometheus
+// surface: per-endpoint request and status counters, per-job paths
+// folded onto their route patterns, and unknown paths onto "other".
 func TestMetricsEndpoint(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).Handler())
+	ts := httptest.NewServer(NewServer(context.Background(), testServer(t).store, 0, nil, nil).Handler())
 	defer ts.Close()
-	// Generate one known-good and one known-bad request first.
-	postJSON(t, ts, "/predict", wire.PredictRequest{
+	// One known-good and one known-bad request, then job paths that
+	// must fold onto their patterns, then paths no route knows.
+	postJSON(t, ts, "/v1/predict", wire.PredictRequest{
 		Benchmark: "gcc", Metric: "CPI", Config: wire.ConfigSpec{FetchWidth: intp(4)},
 	}, nil)
-	postJSON(t, ts, "/predict", map[string]any{"benchmark": "doom", "metric": "CPI"}, nil)
+	postJSON(t, ts, "/v1/predict", map[string]any{"benchmark": "doom", "metric": "CPI"}, nil)
+	for _, path := range []string{
+		"/v1/jobs/sweep-1-aaaa", "/v1/jobs/sweep-2-bbbb",
+		"/v1/jobs/sweep-1-aaaa/stream", "/v1/jobs/sweep-1-aaaa/trace",
+		"/v1/nope", "/predict", "/nope/deeper",
+	} {
+		getText(t, ts, path)
+	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	body, resp := getText(t, ts, "/v1/metricsz")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("metricsz status %d", resp.StatusCode)
+	}
+	for _, sample := range []string{
+		`dsed_http_requests_total{endpoint="/v1/predict",code="200"} 1`,
+		`dsed_http_requests_total{endpoint="/v1/predict",code="404"} 1`,
+		`dsed_http_request_ms_count{endpoint="/v1/predict"} 2`,
+		`dsed_http_requests_total{endpoint="/v1/jobs/{id}",code="404"} 2`,
+		`dsed_http_requests_total{endpoint="/v1/jobs/{id}/stream",code="404"} 1`,
+		`dsed_http_requests_total{endpoint="/v1/jobs/{id}/trace",code="404"} 1`,
+		`dsed_http_requests_total{endpoint="other",code="404"} 3`,
+	} {
+		if !strings.Contains(body, sample+"\n") {
+			t.Errorf("exposition lacks %q", sample)
+		}
+	}
+	// No job ID and no unknown path grew a series of its own.
+	for _, leak := range []string{"sweep-1-aaaa", "/v1/nope", `endpoint="/predict"`} {
+		if strings.Contains(body, leak) {
+			t.Errorf("exposition leaks a per-path series: %q", leak)
+		}
+	}
+	checkPrometheusFormat(t, "daemon", body)
+}
+
+// TestListenerDropsSlowHeaders: the daemon's listener closes a
+// connection that never finishes its request header, instead of
+// holding it open forever.
+func TestListenerDropsSlowHeaders(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var body struct {
-		Endpoints []endpointMetrics `json:"endpoints"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+	srv := newHTTPServer("", testServer(t).Handler())
+	go func() { _ = srv.Serve(ln) }()
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
 		t.Fatal(err)
 	}
-	var predict *endpointMetrics
-	for i := range body.Endpoints {
-		if body.Endpoints[i].Endpoint == "/predict" {
-			predict = &body.Endpoints[i]
-		}
+	defer conn.Close()
+	start := time.Now()
+	if _, err := conn.Write([]byte("GET /v1/healthz HTTP/1.1\r\nHost: dsed\r\n")); err != nil {
+		t.Fatal(err)
 	}
-	if predict == nil {
-		t.Fatalf("no /predict series in %+v", body.Endpoints)
+	if err := conn.SetReadDeadline(time.Now().Add(readHeaderTimeout + 5*time.Second)); err != nil {
+		t.Fatal(err)
 	}
-	if predict.Requests < 2 || predict.ByStatus["200"] < 1 || predict.ByStatus["404"] < 1 {
-		t.Errorf("/predict counters incomplete: %+v", predict)
+	_, err = io.Copy(io.Discard, conn)
+	if err != nil {
+		t.Fatalf("partial-header connection still open %v later: %v", time.Since(start).Round(time.Millisecond), err)
 	}
-	if predict.TotalMS <= 0 || predict.MaxMS < predict.MeanMS {
-		t.Errorf("/predict latency stats inconsistent: %+v", predict)
+	if elapsed := time.Since(start); elapsed < readHeaderTimeout/2 {
+		t.Errorf("connection closed after %v, before the %v header timeout could fire", elapsed, readHeaderTimeout)
 	}
 }
 
@@ -211,7 +299,7 @@ func TestPredictEndpoint(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 	var resp wire.PredictResponse
-	status := postJSON(t, ts, "/predict", wire.PredictRequest{
+	status := postJSON(t, ts, "/v1/predict", wire.PredictRequest{
 		Benchmark: "gcc", Metric: "CPI",
 		Config: wire.ConfigSpec{FetchWidth: intp(4)},
 	}, &resp)
@@ -233,7 +321,7 @@ func TestBatchPredict(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 	var resp wire.BatchPredictResponse
-	status := postJSON(t, ts, "/predict", map[string]any{
+	status := postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark": "gcc",
 		"metrics":   []string{"CPI", "Power"},
 		"configs": []map[string]any{
@@ -266,7 +354,7 @@ func TestBatchPredict(t *testing.T) {
 	}
 
 	// include_traces adds full traces to every cell.
-	status = postJSON(t, ts, "/predict", map[string]any{
+	status = postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark":      "gcc",
 		"metrics":        []string{"CPI"},
 		"configs":        []map[string]any{{"fetch_width": 4}},
@@ -283,35 +371,35 @@ func TestBatchPredict(t *testing.T) {
 func TestBatchPredictErrors(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
-	if status := postJSON(t, ts, "/predict", map[string]any{
+	if status := postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark": "gcc", "metric": "CPI",
 		"metrics": []string{"CPI"}, "configs": []map[string]any{{}},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("mixed single/batch form status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/predict", map[string]any{
+	if status := postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark": "gcc", "metrics": []string{"CPI"},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("batch without configs status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/predict", map[string]any{
+	if status := postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark": "gcc", "configs": []map[string]any{{}},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("batch without metrics status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/predict", map[string]any{
+	if status := postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark": "gcc", "metrics": []string{"CPI"},
 		"configs": []map[string]any{{"fetch_width": -2}},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("batch with invalid config status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/predict", map[string]any{
+	if status := postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark": "gcc", "metrics": []string{"CPI", "CPI"},
 		"configs": []map[string]any{{}},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("duplicate batch metric status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/predict", map[string]any{
+	if status := postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark": "gcc", "metrics": []string{"CPI"},
 		"configs": make([]map[string]any, maxBatchConfigs+1),
 	}, nil); status != http.StatusBadRequest {
@@ -322,27 +410,27 @@ func TestBatchPredictErrors(t *testing.T) {
 func TestPredictErrors(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
-	if status := postJSON(t, ts, "/predict", wire.PredictRequest{Benchmark: "doom", Metric: "CPI"}, nil); status != http.StatusNotFound {
+	if status := postJSON(t, ts, "/v1/predict", wire.PredictRequest{Benchmark: "doom", Metric: "CPI"}, nil); status != http.StatusNotFound {
 		t.Errorf("unknown benchmark status %d, want 404", status)
 	}
-	if status := postJSON(t, ts, "/predict", wire.PredictRequest{Benchmark: "gcc", Metric: "AVF"}, nil); status != http.StatusNotFound {
+	if status := postJSON(t, ts, "/v1/predict", wire.PredictRequest{Benchmark: "gcc", Metric: "AVF"}, nil); status != http.StatusNotFound {
 		t.Errorf("unserved metric status %d, want 404", status)
 	}
-	if status := postJSON(t, ts, "/predict", wire.PredictRequest{Benchmark: "gcc", Metric: "Tempo"}, nil); status != http.StatusBadRequest {
+	if status := postJSON(t, ts, "/v1/predict", wire.PredictRequest{Benchmark: "gcc", Metric: "Tempo"}, nil); status != http.StatusBadRequest {
 		t.Errorf("unparseable metric status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/predict", wire.PredictRequest{
+	if status := postJSON(t, ts, "/v1/predict", wire.PredictRequest{
 		Benchmark: "gcc", Metric: "CPI", Config: wire.ConfigSpec{FetchWidth: intp(-1)},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("invalid config status %d, want 400", status)
 	}
-	resp, err := http.Get(ts.URL + "/predict")
+	resp, err := http.Get(ts.URL + "/v1/predict")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /predict status %d, want 405", resp.StatusCode)
+		t.Errorf("GET /v1/predict status %d, want 405", resp.StatusCode)
 	}
 }
 
@@ -352,9 +440,9 @@ func TestRequestBodyLimit(t *testing.T) {
 	// A syntactically valid request whose config list alone exceeds the
 	// body budget: the decoder must hit the limit, not an unknown field.
 	huge := `{"benchmark":"gcc","metrics":["CPI"],"configs":[` +
-		strings.Repeat(`{"fetch_width":4},`, maxRequestBody/16) +
+		strings.Repeat(`{"fetch_width":4},`, api.MaxRequestBody/16) +
 		`{"fetch_width":4}]}`
-	resp, err := http.Post(ts.URL+"/predict", "application/json", strings.NewReader(huge))
+	resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(huge))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +456,7 @@ func TestSweepEndpoint(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 	var resp wire.SweepResponse
-	status := postJSON(t, ts, "/sweep", map[string]any{
+	status := jobResult(t, ts, "/v1/sweeps", map[string]any{
 		"benchmark": "gcc",
 		"objectives": []map[string]any{
 			{"metric": "CPI"},
@@ -398,23 +486,23 @@ func TestSweepEndpoint(t *testing.T) {
 func TestSweepErrors(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
-	if status := postJSON(t, ts, "/sweep", map[string]any{
+	if status := jobResult(t, ts, "/v1/sweeps", map[string]any{
 		"benchmark": "gcc", "objectives": []map[string]any{{"metric": "CPI"}},
 		"space": "warp",
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("unknown space status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/sweep", map[string]any{
+	if status := jobResult(t, ts, "/v1/sweeps", map[string]any{
 		"benchmark": "gcc", "objectives": []map[string]any{{"metric": "CPI", "kind": "median"}},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("unknown objective kind status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/sweep", map[string]any{
+	if status := jobResult(t, ts, "/v1/sweeps", map[string]any{
 		"benchmark": "gcc", "objectives": []map[string]any{},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("empty objectives status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/sweep", map[string]any{
+	if status := jobResult(t, ts, "/v1/sweeps", map[string]any{
 		"benchmark": "gcc", "objectives": []map[string]any{{"metric": "CPI"}},
 		"objective": 3,
 	}, nil); status != http.StatusBadRequest {
@@ -426,7 +514,7 @@ func TestParetoEndpoint(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 	var resp wire.ParetoResponse
-	status := postJSON(t, ts, "/pareto", map[string]any{
+	status := jobResult(t, ts, "/v1/pareto", map[string]any{
 		"benchmark": "gcc",
 		"objectives": []map[string]any{
 			{"metric": "CPI"},
@@ -455,7 +543,7 @@ func TestParetoExplicitDesigns(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
 	var resp wire.ParetoResponse
-	status := postJSON(t, ts, "/pareto", map[string]any{
+	status := jobResult(t, ts, "/v1/pareto", map[string]any{
 		"benchmark":  "gcc",
 		"objectives": []map[string]any{{"metric": "CPI"}, {"metric": "Power"}},
 		"designs": []map[string]any{
@@ -484,14 +572,14 @@ func TestConcurrentQueries(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			var pr wire.PredictResponse
-			if status := postJSON(t, ts, "/predict", wire.PredictRequest{
+			if status := postJSON(t, ts, "/v1/predict", wire.PredictRequest{
 				Benchmark: "gcc", Metric: "CPI",
 				Config: wire.ConfigSpec{FetchWidth: intp(2 << (i % 3))},
 			}, &pr); status != http.StatusOK {
 				errs <- errStatus{"predict", status}
 			}
 			var sr wire.SweepResponse
-			if status := postJSON(t, ts, "/sweep", map[string]any{
+			if status := jobResult(t, ts, "/v1/sweeps", map[string]any{
 				"benchmark":  "gcc",
 				"objectives": []map[string]any{{"metric": "CPI"}, {"metric": "Power"}},
 				"space":      "test", "sample": 50, "top_k": 3,
@@ -525,7 +613,7 @@ func TestWarmStartServesWithoutRetraining(t *testing.T) {
 	}
 	ts1 := httptest.NewServer(NewServer(context.Background(), store1, 0, nil, nil).Handler())
 	var first wire.PredictResponse
-	if status := postJSON(t, ts1, "/predict", wire.PredictRequest{
+	if status := postJSON(t, ts1, "/v1/predict", wire.PredictRequest{
 		Benchmark: "gcc", Metric: "CPI", Config: wire.ConfigSpec{FetchWidth: intp(4)},
 	}, &first); status != http.StatusOK {
 		t.Fatalf("boot-1 predict status %d", status)
@@ -545,7 +633,7 @@ func TestWarmStartServesWithoutRetraining(t *testing.T) {
 	ts2 := httptest.NewServer(NewServer(context.Background(), store2, 0, nil, nil).Handler())
 	defer ts2.Close()
 	var second wire.PredictResponse
-	if status := postJSON(t, ts2, "/predict", wire.PredictRequest{
+	if status := postJSON(t, ts2, "/v1/predict", wire.PredictRequest{
 		Benchmark: "gcc", Metric: "CPI", Config: wire.ConfigSpec{FetchWidth: intp(4)},
 	}, &second); status != http.StatusOK {
 		t.Fatalf("boot-2 predict status %d", status)
@@ -581,7 +669,7 @@ func TestBenchmarksPartialWarmNotTrained(t *testing.T) {
 		Trained  []string `json:"trained"`
 		OnDemand []string `json:"trainable_on_demand"`
 	}
-	resp, err := http.Get(ts.URL + "/benchmarks")
+	resp, err := http.Get(ts.URL + "/v1/benchmarks")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -613,12 +701,12 @@ func TestOnDemandTrainingExactlyOnce(t *testing.T) {
 
 	// Malformed requests for an untrained benchmark must be rejected
 	// before they can trigger a training run.
-	if status := postJSON(t, ts, "/predict", wire.PredictRequest{
+	if status := postJSON(t, ts, "/v1/predict", wire.PredictRequest{
 		Benchmark: "twolf", Metric: "Power", Config: wire.ConfigSpec{FetchWidth: intp(-1)},
 	}, nil); status != http.StatusBadRequest {
 		t.Errorf("invalid config status %d, want 400", status)
 	}
-	if status := postJSON(t, ts, "/predict", map[string]any{
+	if status := postJSON(t, ts, "/v1/predict", map[string]any{
 		"benchmark": "twolf", "metrics": []string{"Power"},
 		"configs": []map[string]any{{"fetch_width": -1}},
 	}, nil); status != http.StatusBadRequest {
@@ -635,7 +723,7 @@ func TestOnDemandTrainingExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			statuses[i] = postJSON(t, ts, "/predict", wire.PredictRequest{
+			statuses[i] = postJSON(t, ts, "/v1/predict", wire.PredictRequest{
 				Benchmark: "twolf", Metric: "Power",
 				Config: wire.ConfigSpec{FetchWidth: intp(2 << (i % 3))},
 			}, nil)
@@ -654,7 +742,7 @@ func TestOnDemandTrainingExactlyOnce(t *testing.T) {
 	var body struct {
 		Trained []string `json:"trained"`
 	}
-	resp, err := http.Get(ts.URL + "/benchmarks")
+	resp, err := http.Get(ts.URL + "/v1/benchmarks")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,15 +8,16 @@ import (
 	"net/http/pprof"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 )
 
 // telemetry bundles the daemon's observability plane: one metrics
 // registry (scraped at GET /v1/metricsz in Prometheus text format) and
-// one trace store behind a tracer whose node name tells coordinator
-// spans from worker spans in an assembled job trace. Both modes build
-// one at boot and thread it through the registry, the cluster
-// coordinator, and the serving layer.
+// one trace store behind a tracer whose node name tells one peer's spans
+// from another's in an assembled job trace. The daemon builds one at
+// boot and threads it through the registry, the peer coordinator, and
+// the serving layer.
 type telemetry struct {
 	reg    *obs.Registry
 	traces *obs.TraceStore
@@ -24,8 +25,7 @@ type telemetry struct {
 }
 
 // newTelemetry builds the observability plane for one daemon. node
-// labels every span this process records (a worker's advertised
-// address, or "coordinator").
+// labels every span this process records (its advertised address).
 func newTelemetry(node string) *telemetry {
 	reg := obs.NewRegistry(nil)
 	traces := obs.NewTraceStore(0)
@@ -37,10 +37,10 @@ func newTelemetry(node string) *telemetry {
 }
 
 // handleMetricsz serves the Prometheus text exposition of every series
-// in the registry — the machine-scrapable sibling of the JSON
-// /v1/metrics endpoint.
+// in the registry: request counters, job, registry, explore, cluster
+// and gossip instruments.
 func (t *telemetry) handleMetricsz(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	if !api.RequireGet(w, r) {
 		return
 	}
 	w.Header().Set("Content-Type", obs.ContentType)
@@ -49,21 +49,21 @@ func (t *telemetry) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleJobTrace serves GET /v1/jobs/{id}/trace: the job's assembled
-// span tree. On a coordinator the tree spans the fleet — the
-// coordinator's root and dispatch spans with every worker's imported
-// job and phase spans beneath them.
+// span tree. For a fleet-scope job the tree spans the fleet — the owning
+// peer's root and dispatch spans with every shard's imported job and
+// phase spans beneath them.
 func (t *telemetry) handleJobTrace(w http.ResponseWriter, r *http.Request) {
-	if !requireGet(w, r) {
+	if !api.RequireGet(w, r) {
 		return
 	}
 	id := r.PathValue("id")
 	traceID, ok := t.traces.TraceForJob(id)
 	if !ok {
-		httpError(w, r, http.StatusNotFound, "no trace recorded for job %q (unknown, evicted, or not started)", id)
+		api.WriteError(w, r, http.StatusNotFound, "no trace recorded for job %q (unknown, evicted, or not started)", id)
 		return
 	}
 	spans := t.traces.Spans(traceID)
-	writeJSON(w, r, http.StatusOK, obs.JobTrace{
+	api.WriteJSON(w, r, http.StatusOK, obs.JobTrace{
 		JobID:   id,
 		TraceID: traceID,
 		Spans:   len(spans),
@@ -82,7 +82,7 @@ func startDebugServer(ctx context.Context, addr string, logger *log.Logger) {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{Addr: addr, Handler: mux}
+	srv := newHTTPServer(addr, mux)
 	go func() {
 		<-ctx.Done()
 		shutdownCtx, cancel := context.WithTimeout(context.Background(), time.Second)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/registry"
@@ -18,21 +19,19 @@ import (
 	"repro/internal/workload"
 )
 
-// tracedFixture boots a fully observable fleet: two HTTP workers with
-// distinct telemetry node names over a shared registry (wired to worker
-// 1's metric registry), and a coordinator whose tracer both opens
-// dispatch spans in the cluster layer and roots the /v1 job spans —
-// the production wiring from main.go, in miniature.
-func tracedFixture(t *testing.T) (coordTS, w1TS, w2TS *httptest.Server) {
+// tracedFixture boots a fully observable two-peer fleet: peers "p1"
+// (the owner jobs are submitted to) and "p2", each with its own
+// telemetry, over a shared registry wired to p1's metric registry — the
+// production wiring from main.go, in miniature.
+func tracedFixture(t *testing.T) (ownerTS, otherTS *httptest.Server) {
 	t.Helper()
-	w1Tel := newTelemetry("w1")
-	w2Tel := newTelemetry("w2")
+	ownerTel := newTelemetry("p1")
 	store, err := registry.Open(registry.Config{
 		Trainer:   tinyTrainer(),
 		Metrics:   []sim.Metric{sim.MetricCPI, sim.MetricPower},
 		Trainable: workload.Names(),
 		Spec:      tinySpec(),
-		Obs:       w1Tel.reg,
+		Obs:       ownerTel.reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,27 +39,15 @@ func tracedFixture(t *testing.T) (coordTS, w1TS, w2TS *httptest.Server) {
 	if _, err := store.LoadOrTrain(context.Background(), "gcc", sim.MetricCPI); err != nil {
 		t.Fatal(err)
 	}
-	w1TS = httptest.NewServer(NewServer(context.Background(), store, 0, nil, w1Tel).Handler())
-	t.Cleanup(w1TS.Close)
-	w2TS = httptest.NewServer(NewServer(context.Background(), store, 0, nil, w2Tel).Handler())
-	t.Cleanup(w2TS.Close)
-
-	coordTel := newTelemetry("coordinator")
-	coord, err := cluster.New([]cluster.Transport{
-		cluster.NewHTTP(w1TS.URL, nil),
-		cluster.NewHTTP(w2TS.URL, nil),
-	}, cluster.Options{ShardSize: 32, Obs: coordTel.reg, Tracer: coordTel.tracer})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordTS = httptest.NewServer(newCoordServer(context.Background(), coord, 15*time.Second, nil, coordTel).Handler())
-	t.Cleanup(coordTS.Close)
-	return coordTS, w1TS, w2TS
+	owner, ownerTS := startPeer(t, store, ownerTel, testPeerOpts(32), nil)
+	other, otherTS := startPeer(t, store, newTelemetry("p2"), testPeerOpts(32), nil)
+	join(t, owner, other)
+	return ownerTS, otherTS
 }
 
 // awaitJob polls GET /v1/jobs/{id} until the job leaves the running
-// state, returning the terminal state.
-func awaitJob(t *testing.T, ts *httptest.Server, id string) string {
+// state, returning its settled status.
+func awaitJob(t *testing.T, ts *httptest.Server, id string) jobOutcome {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
@@ -68,21 +55,19 @@ func awaitJob(t *testing.T, ts *httptest.Server, id string) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var st struct {
-			State string `json:"state"`
-		}
+		var st jobOutcome
 		err = json.NewDecoder(resp.Body).Decode(&st)
 		resp.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.State != "running" {
-			return st.State
+		if st.State.Terminal() {
+			return st
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("job %s still running after 60s", id)
 		}
-		time.Sleep(20 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 
@@ -102,13 +87,13 @@ func getText(t *testing.T, ts *httptest.Server, path string) (string, *http.Resp
 }
 
 // TestClusterJobTraceConnected is the observability acceptance
-// scenario: a distributed sweep over two live HTTP workers yields one
-// connected span tree — a single root on the coordinator, each worker's
-// job and phase spans nested under the coordinator's dispatch spans,
-// one request ID threading every annotated span — and Prometheus
-// expositions on both tiers carrying the core series.
+// scenario: a distributed sweep over a two-peer fleet yields one
+// connected span tree — a single root on the owning peer, every shard's
+// job and phase spans (on both peers) nested under the owner's dispatch
+// spans, one request ID threading every annotated span — and Prometheus
+// expositions on both peers carrying the core series.
 func TestClusterJobTraceConnected(t *testing.T) {
-	coordTS, w1TS, w2TS := tracedFixture(t)
+	coordTS, otherTS := tracedFixture(t)
 
 	const reqID = "trace-acceptance-001"
 	payload, err := json.Marshal(paretoBody())
@@ -136,11 +121,11 @@ func TestClusterJobTraceConnected(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted || submitted.ID == "" {
 		t.Fatalf("submit answered status %d id %q", resp.StatusCode, submitted.ID)
 	}
-	if state := awaitJob(t, coordTS, submitted.ID); state != "done" {
-		t.Fatalf("job settled %q, want done", state)
+	if st := awaitJob(t, coordTS, submitted.ID); st.State != api.StateDone {
+		t.Fatalf("job settled %q, want done", st.State)
 	}
 
-	// The assembled tree: exactly one root, rooted on the coordinator.
+	// The assembled tree: exactly one root, rooted on the owner.
 	body, traceResp := getText(t, coordTS, "/v1/jobs/"+submitted.ID+"/trace")
 	if traceResp.StatusCode != http.StatusOK {
 		t.Fatalf("trace status %d: %s", traceResp.StatusCode, body)
@@ -156,12 +141,12 @@ func TestClusterJobTraceConnected(t *testing.T) {
 		t.Fatalf("trace has %d roots, want 1 connected tree", len(trace.Tree))
 	}
 	root := trace.Tree[0]
-	if root.Name != "job:pareto" || root.Node != "coordinator" {
-		t.Fatalf("root span is %s on %s, want job:pareto on coordinator", root.Name, root.Node)
+	if root.Name != "job:pareto" || root.Node != "p1" {
+		t.Fatalf("root span is %s on %s, want job:pareto on p1", root.Name, root.Node)
 	}
 
 	// Walk the tree: count spans, bucket them by node, and check every
-	// worker span hangs under a coordinator dispatch span.
+	// shard's job span hangs under one of the owner's dispatch spans.
 	nodes := 0
 	jobSpansPerNode := map[string]int{}
 	requestIDs := map[string]bool{}
@@ -171,14 +156,14 @@ func TestClusterJobTraceConnected(t *testing.T) {
 		if id := n.Attrs["request_id"]; id != "" {
 			requestIDs[id] = true
 		}
-		if strings.HasPrefix(n.Name, "job:") {
+		if strings.HasPrefix(n.Name, "job:") && n != root {
 			jobSpansPerNode[n.Node]++
-			if n.Node != "coordinator" && (parent == nil || parent.Name != "dispatch") {
-				t.Errorf("worker job span on %s not nested under a dispatch span", n.Node)
+			if parent == nil || parent.Name != "dispatch" {
+				t.Errorf("shard job span on %s not nested under a dispatch span", n.Node)
 			}
 		}
-		if n.Name == "dispatch" && n.Node != "coordinator" {
-			t.Errorf("dispatch span attributed to %s, want coordinator", n.Node)
+		if n.Name == "dispatch" && n.Node != "p1" {
+			t.Errorf("dispatch span attributed to %s, want the owner p1", n.Node)
 		}
 		for _, c := range n.Children {
 			walk(c, n)
@@ -188,17 +173,17 @@ func TestClusterJobTraceConnected(t *testing.T) {
 	if nodes != trace.Spans {
 		t.Errorf("tree holds %d spans, envelope reports %d — duplicates or orphans", nodes, trace.Spans)
 	}
-	for _, worker := range []string{"w1", "w2"} {
-		if jobSpansPerNode[worker] == 0 {
-			t.Errorf("no job span from worker %s — the trace does not cover the whole fleet", worker)
+	for _, peer := range []string{"p1", "p2"} {
+		if jobSpansPerNode[peer] == 0 {
+			t.Errorf("no shard job span from peer %s — the trace does not cover the whole fleet", peer)
 		}
 	}
 	if len(requestIDs) != 1 || !requestIDs[reqID] {
 		t.Errorf("request IDs on spans = %v, want exactly %q threading the fan-out", requestIDs, reqID)
 	}
 
-	// The coordinator's Prometheus exposition carries per-worker shard
-	// latency histograms and the three-column fault taxonomy.
+	// The owner's Prometheus exposition carries per-peer shard latency
+	// histograms and the three-column fault taxonomy.
 	metrics, metricsResp := getText(t, coordTS, "/v1/metricsz")
 	if metricsResp.StatusCode != http.StatusOK {
 		t.Fatalf("metricsz status %d", metricsResp.StatusCode)
@@ -206,7 +191,7 @@ func TestClusterJobTraceConnected(t *testing.T) {
 	if got := metricsResp.Header.Get("Content-Type"); got != obs.ContentType {
 		t.Errorf("metricsz content type %q, want %q", got, obs.ContentType)
 	}
-	for _, workerTS := range []*httptest.Server{w1TS, w2TS} {
+	for _, workerTS := range []*httptest.Server{coordTS, otherTS} {
 		name := cluster.NewHTTP(workerTS.URL, nil).Name()
 		if !strings.Contains(metrics, `dsed_cluster_shard_latency_ms_bucket{worker="`+name+`"`) {
 			t.Errorf("no shard latency histogram for worker %s", name)
@@ -217,26 +202,32 @@ func TestClusterJobTraceConnected(t *testing.T) {
 			}
 		}
 	}
-	checkPrometheusFormat(t, "coordinator", metrics)
+	checkPrometheusFormat(t, "owner", metrics)
 
-	// Worker 1's exposition carries the registry training histogram (its
-	// metric registry backs the shared store) and the sweep-path chunk
-	// instruments.
-	wMetrics, wResp := getText(t, w1TS, "/v1/metricsz")
-	if wResp.StatusCode != http.StatusOK {
-		t.Fatalf("worker metricsz status %d", wResp.StatusCode)
-	}
+	// The owner's exposition also carries the registry training
+	// histogram (its metric registry backs the shared store); both
+	// peers carry the sweep-path chunk instruments of the shards they
+	// evaluated.
 	for _, series := range []string{
 		`dsed_registry_train_ms_bucket{benchmark="gcc"`,
 		"dsed_registry_cache_total",
-		"dsed_explore_chunk_ms_bucket",
-		"dsed_jobs_finished_total",
 	} {
-		if !strings.Contains(wMetrics, series) {
-			t.Errorf("worker exposition missing %s", series)
+		if !strings.Contains(metrics, series) {
+			t.Errorf("owner exposition missing %s", series)
 		}
 	}
-	checkPrometheusFormat(t, "worker", wMetrics)
+	for name, ts := range map[string]*httptest.Server{"owner": coordTS, "other": otherTS} {
+		body, resp := getText(t, ts, "/v1/metricsz")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s metricsz status %d", name, resp.StatusCode)
+		}
+		for _, series := range []string{"dsed_explore_chunk_ms_bucket", "dsed_jobs_finished_total"} {
+			if !strings.Contains(body, series) {
+				t.Errorf("%s exposition missing %s", name, series)
+			}
+		}
+		checkPrometheusFormat(t, name, body)
+	}
 }
 
 // checkPrometheusFormat asserts every sample line is "name value" —

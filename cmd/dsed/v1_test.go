@@ -12,21 +12,19 @@ import (
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/cluster"
 	"repro/internal/wire"
 	"repro/pkg/dsedclient"
 )
 
 // The /v1 acceptance suite: the async job API end-to-end through the
-// typed client, the structured error model, request IDs, and the
-// legacy-shim guarantees.
+// typed client, the structured error model, and request IDs.
 
 func testClient(base string) *dsedclient.Client {
 	return dsedclient.New(base, dsedclient.WithRetries(2), dsedclient.WithBackoff(5*time.Millisecond))
 }
 
-// TestV1JobLifecycle drives one worker job through submit → poll →
-// stream → result and pins the final answer to the legacy /pareto shim's.
+// TestV1JobLifecycle drives one job through submit → poll → stream →
+// result and pins the streamed final answer to the polled result.
 func TestV1JobLifecycle(t *testing.T) {
 	ts := httptest.NewServer(testServer(t).Handler())
 	defer ts.Close()
@@ -79,31 +77,25 @@ func TestV1JobLifecycle(t *testing.T) {
 		t.Fatalf("job status incomplete after completion: %+v", status)
 	}
 
-	// The stream-assembled answer equals the legacy blocking shim's.
-	var legacy wire.ParetoResponse
-	if s := postJSON(t, ts, "/pareto", map[string]any{
-		"benchmark":  "gcc",
-		"objectives": []map[string]any{{"metric": "CPI"}, {"metric": "Power"}},
-		"space":      "test", "sample": 300,
-	}, &legacy); s != http.StatusOK {
-		t.Fatalf("legacy pareto status %d", s)
+	// The stream-assembled answer equals the polled result payload.
+	raw, err := json.Marshal(status.Result)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantKeys := sortedCandidateJSON(t, legacy.Frontier)
-	gotKeys := sortedCandidateJSON(t, final.Candidates)
-	if len(wantKeys) != len(gotKeys) {
-		t.Fatalf("streamed frontier has %d points, legacy shim %d", len(gotKeys), len(wantKeys))
+	var polled wire.ParetoResponse
+	if err := json.Unmarshal(raw, &polled); err != nil {
+		t.Fatal(err)
 	}
-	for i := range wantKeys {
-		if wantKeys[i] != gotKeys[i] {
-			t.Fatalf("frontier point %d differs between stream and legacy shim:\n  stream %s\n  legacy %s", i, gotKeys[i], wantKeys[i])
-		}
+	if polled.Evaluated != 300 {
+		t.Fatalf("polled result evaluated %d designs, want 300", polled.Evaluated)
 	}
+	sameFrontier(t, final.Candidates, polled.Frontier)
 }
 
 // TestV1StreamedFrontierMatchesSingleProcess is the acceptance
 // criterion: the frontier assembled from /v1/jobs/{id}/stream partials
-// on a coordinator equals the single-process /pareto answer — including
-// with a worker killed mid-job.
+// on a peer fleet equals the single-process answer — including with a
+// peer killed mid-job.
 func TestV1StreamedFrontierMatchesSingleProcess(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -115,13 +107,13 @@ func TestV1StreamedFrontierMatchesSingleProcess(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			coordTS, worker1TS := clusterFixture(t, tc.shardSize, tc.budget)
+			owner, _ := peerFleet(t, tc.shardSize, tc.budget)
 			var single wire.ParetoResponse
-			if s := postJSON(t, worker1TS, "/pareto", paretoBody(), &single); s != http.StatusOK {
+			if s := jobResult(t, singleTS(t), "/v1/pareto", paretoBody(), &single); s != http.StatusOK {
 				t.Fatalf("single-process pareto status %d", s)
 			}
 
-			c := testClient(coordTS.URL)
+			c := testClient(owner.URL)
 			ctx := context.Background()
 			partials := 0
 			var lastPartialEvaluated int
@@ -130,7 +122,9 @@ func TestV1StreamedFrontierMatchesSingleProcess(t *testing.T) {
 				Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}, {Metric: "Power"}},
 				SpaceSpec:  wire.SpaceSpec{Space: "test", Sample: 300},
 			}, func(u api.Update) {
-				if u.Final {
+				// The opening snapshot announces the job's shape before any
+				// shard merged; every later partial is one merged shard.
+				if u.Final || u.Shards == 0 {
 					return
 				}
 				partials++
@@ -156,36 +150,23 @@ func TestV1StreamedFrontierMatchesSingleProcess(t *testing.T) {
 			if resp.Evaluated != single.Evaluated {
 				t.Fatalf("job evaluated %d designs, single process %d", resp.Evaluated, single.Evaluated)
 			}
-			wantKeys := sortedCandidateJSON(t, single.Frontier)
-			gotKeys := sortedCandidateJSON(t, resp.Frontier)
-			if len(wantKeys) != len(gotKeys) {
-				t.Fatalf("streamed frontier has %d points, single-process %d", len(gotKeys), len(wantKeys))
-			}
-			for i := range wantKeys {
-				if wantKeys[i] != gotKeys[i] {
-					t.Fatalf("frontier point %d differs:\n  job    %s\n  single %s", i, gotKeys[i], wantKeys[i])
-				}
-			}
+			sameFrontier(t, resp.Frontier, single.Frontier)
 		})
 	}
 }
 
-// TestV1JobCancel holds a coordinator job in flight on a gated worker,
-// cancels it over the API, and expects the stream to settle "canceled".
+// TestV1JobCancel holds a fleet job in flight on a gated peer, cancels
+// it over the API, and expects the stream to settle "canceled".
 func TestV1JobCancel(t *testing.T) {
-	srv := testServer(t)
-	gate := &gatedHandler{next: srv.Handler(), release: make(chan struct{})}
-	workerTS := httptest.NewServer(gate)
-	t.Cleanup(workerTS.Close)
+	gate := &gatedHandler{release: make(chan struct{})}
 	defer close(gate.release)
-	coord, err := cluster.New([]cluster.Transport{cluster.NewHTTP(workerTS.URL, nil)}, cluster.Options{ShardSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordTS := httptest.NewServer(newCoordServer(context.Background(), coord, 15*time.Second, nil, nil).Handler())
-	t.Cleanup(coordTS.Close)
+	owner, ownerTS := startPeer(t, testServer(t).store, nil, testPeerOpts(64), func(h http.Handler) http.Handler {
+		gate.next = h
+		return gate
+	})
+	join(t, owner)
 
-	c := testClient(coordTS.URL)
+	c := testClient(ownerTS.URL)
 	ctx := context.Background()
 	st, err := c.SubmitPareto(ctx, wire.ParetoRequest{
 		Benchmark:  "gcc",
@@ -265,15 +246,19 @@ func TestV1ErrorModel(t *testing.T) {
 		t.Errorf("structured error wrong: %+v", env.Error)
 	}
 
-	// Unknown /v1 routes answer the structured model too.
-	r2, err := http.Get(ts.URL + "/v1/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r2.Body.Close()
-	env = api.ErrorEnvelope{}
-	if err := json.NewDecoder(r2.Body).Decode(&env); err != nil || env.Error.Code != api.CodeNotFound {
-		t.Errorf("unknown /v1 route: decode err %v, code %q (want %s)", err, env.Error.Code, api.CodeNotFound)
+	// Unknown routes answer the structured model too, including every
+	// path outside /v1.
+	for _, path := range []string{"/v1/nope", "/predict", "/healthz"} {
+		r2, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env = api.ErrorEnvelope{}
+		err = json.NewDecoder(r2.Body).Decode(&env)
+		r2.Body.Close()
+		if err != nil || r2.StatusCode != http.StatusNotFound || env.Error.Code != api.CodeNotFound {
+			t.Errorf("unknown route %s: status %d, decode err %v, code %q (want 404 %s)", path, r2.StatusCode, err, env.Error.Code, api.CodeNotFound)
+		}
 	}
 
 	// Content negotiation: refusing JSON is 406.
@@ -291,8 +276,8 @@ func TestV1ErrorModel(t *testing.T) {
 		t.Errorf("Accept: text/html on /v1 status %d, want 406", resp3.StatusCode)
 	}
 
-	// A failed job carries the structured error with the legacy-status
-	// mapping (unknown benchmark → 404 not_found).
+	// A failed job carries the structured error with its HTTP status
+	// (unknown benchmark → 404 not_found).
 	c := testClient(ts.URL)
 	_, err = c.ParetoJob(context.Background(), wire.ParetoRequest{
 		Benchmark:  "doom",
@@ -301,100 +286,6 @@ func TestV1ErrorModel(t *testing.T) {
 	}, nil)
 	if !isAPIStatus(err, http.StatusNotFound) {
 		t.Errorf("unknown-benchmark job = %v, want 404 APIError", err)
-	}
-}
-
-// TestLegacyShimsUnchanged pins the deprecation contract: legacy routes
-// answer their historical payloads (string error envelope included) and
-// advertise their successor.
-func TestLegacyShimsUnchanged(t *testing.T) {
-	ts := httptest.NewServer(testServer(t).Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" || !strings.Contains(resp.Header.Get("Link"), "/v1/healthz") {
-		t.Errorf("legacy route lacks deprecation headers: Deprecation=%q Link=%q",
-			resp.Header.Get("Deprecation"), resp.Header.Get("Link"))
-	}
-
-	v1resp, err := http.Get(ts.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1resp.Body.Close()
-	if v1resp.Header.Get("Deprecation") != "" {
-		t.Error("/v1 route carries a Deprecation header")
-	}
-
-	// The legacy error envelope is still the bare string form.
-	badResp, err := http.Post(ts.URL+"/sweep", "application/json", strings.NewReader(`{"benchmark":"gcc"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer badResp.Body.Close()
-	raw, err := io.ReadAll(badResp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var legacyEnv map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &legacyEnv); err != nil {
-		t.Fatal(err)
-	}
-	var msg string
-	if err := json.Unmarshal(legacyEnv["error"], &msg); err != nil || msg == "" {
-		t.Errorf("legacy error envelope is not the historical string form: %s", raw)
-	}
-}
-
-// TestQueueDepthHeartbeat: a heartbeat advertising per-benchmark queue
-// depths surfaces them in the coordinator's /healthz worker rows.
-func TestQueueDepthHeartbeat(t *testing.T) {
-	srv := testServer(t)
-	workerTS := httptest.NewServer(srv.Handler())
-	t.Cleanup(workerTS.Close)
-	coord, err := cluster.New(nil, cluster.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordTS := httptest.NewServer(newCoordServer(context.Background(), coord, 15*time.Second, nil, nil).Handler())
-	t.Cleanup(coordTS.Close)
-
-	c := testClient(coordTS.URL)
-	ctx := context.Background()
-	if _, err := c.Register(ctx, wire.RegisterRequest{Addr: workerTS.URL}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Heartbeat(ctx, wire.HeartbeatRequest{
-		Addr: workerTS.URL, Benchmarks: []string{"gcc"}, QueueDepths: map[string]int{"gcc": 3},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Get(coordTS.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var health struct {
-		Workers []struct {
-			QueueDepths map[string]int `json:"queue_depths"`
-		} `json:"workers"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	if len(health.Workers) != 1 || health.Workers[0].QueueDepths["gcc"] != 3 {
-		t.Errorf("healthz lost the advertised queue depths: %+v", health.Workers)
-	}
-
-	// Validation still rejects garbage depths.
-	if _, err := c.Heartbeat(ctx, wire.HeartbeatRequest{
-		Addr: workerTS.URL, QueueDepths: map[string]int{"gcc": -1},
-	}); !isAPIStatus(err, http.StatusBadRequest) {
-		t.Errorf("negative queue depth = %v, want 400", err)
 	}
 }
 

@@ -76,7 +76,7 @@
 //	go run ./cmd/dsed -addr :8090 -benchmarks gcc,mcf -metrics CPI,Power -model-dir ./models
 //	curl -s localhost:8090/v1/healthz
 //	curl -s localhost:8090/v1/benchmarks
-//	curl -s localhost:8090/v1/metrics
+//	curl -s localhost:8090/v1/metricsz
 //	curl -s localhost:8090/v1/predict -d '{"benchmark":"gcc","metric":"CPI","config":{"fetch_width":4}}'
 //	curl -s localhost:8090/v1/predict -d '{"benchmark":"gcc","metrics":["CPI","Power"],"configs":[{"fetch_width":2},{"fetch_width":8}]}'
 //	curl -s localhost:8090/v1/warm -d '{"benchmarks":["twolf","gap"]}'
@@ -85,7 +85,7 @@
 // millions of design points — so it is a job, not an RPC. Submission
 // answers 202 with a job ID immediately; progress streams as NDJSON,
 // one cumulative snapshot per line (partial frontier / feasible top-K,
-// designs evaluated, per-worker attribution on a coordinator), ending
+// designs evaluated, per-peer shard attribution on a fleet), ending
 // with the final update:
 //
 //	job=$(curl -s localhost:8090/v1/pareto -d '{"benchmark":"gcc","objectives":[{"metric":"CPI"},{"metric":"Power"}],"space":"test"}' | sed 's/.*"id":"\([^"]*\)".*/\1/')
@@ -98,19 +98,13 @@
 // disconnects simply re-opens the stream and is current after one line —
 // pkg/dsedclient's iterator does this automatically.
 //
-// Deprecation policy: the original unversioned routes (/predict, /sweep,
-// /pareto, /warm, /healthz, /benchmarks, /metrics, and the coordinator's
-// /cluster/sweep, /cluster/pareto, /register, /heartbeat) remain as thin
-// shims delegating to the /v1 handlers. They answer exactly their
-// historical payloads — blocking sweep responses, {"error": "<message>"}
-// envelopes — and carry "Deprecation: true" plus a Link header naming
-// the /v1 successor. Existing curl recipes keep working; new consumers
-// should use /v1 or, better, the typed client.
+// /v1 is the only surface: a path outside it answers the structured 404
+// like any unknown route.
 //
 // The batch /v1/predict form scores many configs under many metrics in
 // one request on the worker pool; /v1/benchmarks lists what is trained
-// versus trainable on demand; /v1/metrics exposes per-endpoint request,
-// status and latency counters; POST /v1/warm pre-trains a benchmark list
+// versus trainable on demand; /v1/metricsz exposes per-endpoint request,
+// status and latency counters in Prometheus text; POST /v1/warm pre-trains a benchmark list
 // before the first sweep needs it. POST bodies are bounded (413 beyond
 // 1 MiB) and every endpoint enforces its method.
 //
@@ -118,7 +112,7 @@
 //
 // pkg/dsedclient is the one way this repository speaks to a daemon: the
 // cluster transport, all five examples, cmd/dse's remote mode, and the
-// worker-side membership joiner are built on it. It offers typed calls
+// peers' gossip and replication loops are built on it. It offers typed calls
 // with context cancellation, automatic retry with backoff on errors the
 // daemon marks retryable, submit/poll/cancel for jobs, a streaming
 // iterator that resumes across disconnects, and blocking conveniences
@@ -144,80 +138,62 @@
 // tests, one-binary fallback) and HTTP, which speaks the ordinary dsed
 // wire format — any running dsed is already a cluster worker.
 //
-// The same dsed binary serves coordinator mode, with the same /v1 job
-// API — a coordinator job's stream publishes the merged partial frontier
-// after every shard, so partial results flow worker → coordinator →
-// client while the fleet sweeps:
+// A fleet is dsed peers (-peers, below). Any peer coordinates the jobs
+// submitted to it with the same /v1 job API — a fleet job's stream
+// publishes the merged partial frontier after every shard, so partial
+// results flow peer → owning peer → client while the fleet sweeps. The
+// owner's shard transport is itself a dsedclient: each shard is a /v1
+// job on the peer it lands on, submitted with "scope":"local" and
+// streamed, so evaluating a shard needs no extra surface. POST /v1/warm
+// on a peer trains each benchmark across the fleet ahead of the first
+// query (partial failures itemised in a 200). The remote CLI takes a
+// single daemon or a comma-separated peer list:
 //
-//	go run ./cmd/dsed -addr :8091 &
-//	go run ./cmd/dsed -addr :8092 &
-//	go run ./cmd/dsed -addr :8090 -workers localhost:8091,localhost:8092
-//	curl -s localhost:8090/v1/healthz
-//	curl -s localhost:8090/v1/warm -d '{"benchmarks":["gcc"]}'
-//	job=$(curl -s localhost:8090/v1/pareto -d '{"benchmark":"gcc","objectives":[{"metric":"CPI"},{"metric":"Power"}],"space":"test"}' | sed 's/.*"id":"\([^"]*\)".*/\1/')
-//	curl -sN localhost:8090/v1/jobs/$job/stream
-//
-// (Legacy blocking shims: /cluster/pareto and /cluster/sweep.) The
-// coordinator's shard transport is itself a dsedclient: each shard is a
-// /v1 job on its worker, submitted and streamed, so any /v1 daemon is a
-// worker with no extra surface. /v1/healthz reports per-worker liveness
-// and accumulated shard failures; /v1/warm trains each benchmark on its
-// consistent-hash home workers ahead of the first query. The remote CLI:
-//
-//	go run ./cmd/dse -daemon localhost:8090 -exp pareto -benchmarks gcc -sample 2000
+//	go run ./cmd/dse -daemon 127.0.0.1:9401,127.0.0.1:9402 -exp pareto -benchmarks gcc -sample 2000
 //
 // # Fleet operations
 //
-// The fleet is a live membership table, not a frozen -workers list. A
-// coordinator can boot empty (-coordinator) and grow as workers register;
-// a worker started with -seed registers itself and heartbeats its
-// trained-model inventory, so the scheduler routes each benchmark's
-// shards to workers already holding its models (benchmark affinity),
-// spilling to consistent-hash ring order only under load. With
-// -target-shard-ms the coordinator also sizes each worker's shards
-// adaptively from an EWMA of its observed per-design latency.
+// The fleet is a live membership table built by gossip, not a frozen
+// list: -peers names the seed peers a node first gossips with, and the
+// table grows as peers learn of each other. Each peer's gossip entry
+// advertises its trained-model inventory and per-benchmark running-job
+// queue depths, so the scheduler routes each benchmark's shards to peers
+// already holding its models (benchmark affinity), spilling to
+// consistent-hash ring order only under load. With -target-shard-ms a
+// peer also sizes each shard adaptively from an EWMA of the target's
+// observed per-design latency. A peer's self address (-advertise, else
+// -addr) is what it gossips, so it must be a host:port other peers can
+// dial; dsed refuses to boot in peer mode with a hostless one.
 //
-// Boot an elastic fleet:
+// Grow the fleet by starting another peer with any live member as its
+// seed:
 //
-//	go run ./cmd/dsed -addr :8090 -coordinator -heartbeat 5s -target-shard-ms 500 &
-//	go run ./cmd/dsed -addr 127.0.0.1:8091 -seed 127.0.0.1:8090 &
-//	go run ./cmd/dsed -addr 127.0.0.1:8092 -seed 127.0.0.1:8090 &
+//	go run ./cmd/dsed -addr 127.0.0.1:9404 -peers 127.0.0.1:9401 &
 //
-// Register a worker by hand (registration is idempotent — re-registering
-// renews the lease):
+// Drain a peer by stopping it: after two silent gossip rounds it is
+// suspect and leaves every scheduling view, after three it is dead; its
+// remaining shards re-dispatch to the survivors, only ~1/N of benchmark
+// homes move, and its running jobs are adopted by their replicas. Read
+// membership from any peer:
 //
-//	curl -s localhost:8090/v1/register -d '{"addr":"127.0.0.1:8093","capacity":8,"benchmarks":["gcc"]}'
+//	curl -s 127.0.0.1:9401/v1/healthz
 //
-// Renew by heartbeat (a 404 answer means the lease lapsed or the
-// coordinator restarted: register again); queue_depths advertises the
-// worker's running jobs per benchmark:
-//
-//	curl -s localhost:8090/v1/heartbeat -d '{"addr":"127.0.0.1:8093","benchmarks":["gcc","mcf"],"queue_depths":{"gcc":2}}'
-//
-// Drain a worker: stop its heartbeats (stop the process, or just its
-// -seed loop) and the lease lapses after three missed intervals; its
-// remaining shards re-dispatch to the survivors and only ~1/N of
-// benchmark homes move. Read membership from the coordinator:
-//
-//	curl -s localhost:8090/v1/healthz
-//
-// Each /v1/healthz worker row reports liveness, static-versus-registered,
-// seconds since the last heartbeat, advertised benchmarks and queue
-// depths, inflight and completed shards, the per-design latency EWMA,
-// and three separate fault columns: "failures" (transport faults and
-// timeouts — a sick worker), "rejections" (the worker's deterministic
-// 4xx verdicts on bad requests — not the worker's fault), and "busy"
-// (retryable 429 verdicts — a healthy worker at capacity whose shard
-// spilled elsewhere), so an operator can tell a dead machine from a bad
-// client from a saturated fleet.
+// Each /v1/healthz peer row reports the gossip state, incarnation and
+// beat, advertised benchmarks and queue depths and, for members of this
+// peer's scheduling view, inflight and completed shards, the per-design
+// latency EWMA, and three separate fault columns: "failures" (transport
+// faults and timeouts — a sick peer), "rejections" (the peer's
+// deterministic 4xx verdicts on bad requests — not the peer's fault),
+// and "busy" (retryable 429 verdicts — a healthy peer at capacity whose
+// shard spilled elsewhere), so an operator can tell a dead machine from
+// a bad client from a saturated fleet. The top level adds the placement
+// policy, the hedge totals and the retry count.
 //
 // # Control plane
 //
-// The coordinator/worker split above has one seam left: the coordinator
-// is a distinguished process, and a job lives exactly as long as the
-// node that accepted it. Peer mode (-peers) removes both. Every peer is
-// a full worker that can also coordinate, membership is leaderless, and
-// a running job survives the death of the node coordinating it:
+// There is no distinguished coordinator process. Every peer is a full
+// daemon that can also coordinate, membership is leaderless, and a
+// running job survives the death of the node coordinating it:
 //
 //	dsed -addr 127.0.0.1:9401 -peers 127.0.0.1:9402,127.0.0.1:9403 -replicate 2 ... &
 //	dsed -addr 127.0.0.1:9402 -peers 127.0.0.1:9401,127.0.0.1:9403 -replicate 2 ... &
@@ -268,7 +244,7 @@
 // the reader missed, or the latest cumulative snapshot if that fell off
 // the 64-update history ring), and tolerates the brief 404/503 window
 // between an owner's death and the adoption. A streaming client
-// watching a sweep when its coordinator dies sees at most a pause.
+// watching a sweep when its owning peer dies sees at most a pause.
 // Observability: dsed_gossip_rounds_total{result},
 // dsed_gossip_members{state}, dsed_gossip_members_divergence (how far
 // this peer's view lags the freshest beat it has seen),
@@ -277,10 +253,10 @@
 // # Scheduling
 //
 // Shard placement is a pluggable policy (cluster.Policy), selected per
-// coordinator with -policy. Every policy ranks the same snapshot of the
-// live fleet — per-worker inflight shards, advertised capacity, the
-// heartbeat's trained-model inventory and per-benchmark queue depths,
-// and the coordinator's per-design latency EWMA — and differs only in
+// peer with -policy. Every policy ranks the same snapshot of the live
+// fleet — per-worker inflight shards, advertised capacity, the gossiped
+// trained-model inventory and per-benchmark queue depths, and the
+// coordinating peer's per-design latency EWMA — and differs only in
 // what it optimises:
 //
 //   - affinity (default): model-inventory first, then the benchmark's
@@ -291,8 +267,8 @@
 //     receiving shards until its capacity slots fill.
 //   - least-loaded: ascending (inflight + advertised queue depth across
 //     all benchmarks), under-capacity workers first. The only policy
-//     that reacts to load the coordinator didn't create (jobs submitted
-//     to workers directly, other coordinators). Failure mode:
+//     that reacts to load this peer didn't create (jobs other peers
+//     coordinate). Failure mode:
 //     cache-blindness — an idle cold worker wins the shard and pays an
 //     on-demand training inside it.
 //   - best-fit: tightest fit first (fewest free capacity slots), so work
@@ -306,7 +282,7 @@
 //     spill churn — each refusal burns a round trip into the busy
 //     column.
 //
-// Against stragglers the coordinator speculates (hedged dispatch): when
+// Against stragglers the coordinating peer speculates (hedged dispatch): when
 // a shard's elapsed time exceeds -hedge-factor times its expected
 // duration — the worker's per-design EWMA, or the fleet median before
 // the worker has one, times the shard size — the shard is dispatched a
@@ -315,13 +291,13 @@
 // 25ms, and a cold fleet with no latency observations never hedges (its
 // first shards may be training models on demand). Outcomes are counted
 // in dsed_cluster_shard_hedges_total{result=issued|won|wasted} and the
-// /healthz hedges row, and every speculative attempt carries a
+// /v1/healthz hedges row, and every speculative attempt carries a
 // hedge=true dispatch span in the job's trace tree.
 //
 // Hedging is safe because exactly one partial merges per shard. The
 // collectors are associative but deliberately not duplicate-idempotent
 // (two copies of one frontier point both survive a strict dominance
-// check), so the coordinator deduplicates at the source: the losing
+// check), so the coordinating peer deduplicates at the source: the losing
 // attempt's answer feeds the worker's latency EWMA and the trace tree
 // but never the merge — and since a shard's answer is a deterministic
 // function of the shard, whichever attempt wins merges the identical
@@ -357,19 +333,20 @@
 // job lifecycle and stream health (dsed_jobs_running,
 // dsed_jobs_finished_total{state}, dsed_jobs_stream_dropped_total),
 // sweep chunk timings (dsed_explore_chunk_ms), and per-endpoint HTTP
-// accounting (dsed_http_requests_total{endpoint,code}) — backed by the
-// same registry as the JSON /v1/metrics snapshot, so the two surfaces
-// cannot disagree. Scrape either tier in Prometheus text format:
+// accounting (dsed_http_requests_total{endpoint,code}, job paths folded
+// onto their /v1/jobs/{id} patterns and unknown paths onto "other").
+// Scrape any daemon in Prometheus text format:
 //
 //	curl -s localhost:8090/v1/metricsz
 //
 // Traces answer "where did this job spend its time" across machines.
-// A coordinator job opens a root span; each shard attempt opens a
-// dispatch child whose context rides the HTTP hop as a W3C-shaped
-// traceparent header (plus the request ID); the worker parents its own
-// job span under it, brackets the train/encode/predict/merge phases
-// with child spans, and ships its spans back inside the final job
-// update. The coordinator splices them into its ring-buffered trace
+// A fleet job opens a root span on its owning peer; each shard attempt
+// opens a dispatch child whose context rides the HTTP hop as a
+// W3C-shaped traceparent header (plus the request ID); the evaluating
+// peer parents its own job span under it, brackets the
+// train/encode/predict/merge phases with child spans, and ships its
+// spans back inside the final job update. The owner splices them into
+// its ring-buffered trace
 // store (the most recent 256 traces), so one GET returns the assembled
 // cross-node tree once the job is done:
 //
@@ -382,7 +359,7 @@
 // "trace:"-prefixed lines. GET /v1/jobs lists the job table (filter
 // with ?state=, ?benchmark=, ?kind=, page with ?limit=).
 //
-// For deeper digging both daemon modes take -debug-addr, a second
+// For deeper digging the daemon takes -debug-addr, a second
 // listener (never exposed by default) serving net/http/pprof:
 //
 //	go run ./cmd/dsed -addr :8090 -debug-addr localhost:6060 &
@@ -478,12 +455,11 @@
 //     time.Sleep beside a seam silently escapes the fake clock in tests
 //     and re-introduces flakes the seam existed to kill.
 //   - memberseam: cluster.Coordinator.Join/Heartbeat/Leave may be called
-//     only from membership seams (functions named like *register*,
-//     *heartbeat*, *gossip*, *membership*). Under the leaderless control
-//     plane the scheduling member table is a projection of the gossip
-//     view; a stray Join in a request handler or a Leave in an error
-//     path is a resurrected single-coordinator assumption that forks the
-//     two views — the scheduler dispatches to peers gossip has declared
+//     only from membership seams (functions named like *gossip*,
+//     *membership*, *seam*). The scheduling member table is a projection
+//     of the gossip view; a stray Join in a request handler or a Leave in
+//     an error path is a resurrected single-coordinator assumption that
+//     forks the two views — the scheduler dispatches to peers gossip has declared
 //     dead, or never learns about ones it resurrected.
 //
 // False positives are suppressed inline, never silently: a

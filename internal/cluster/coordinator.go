@@ -13,8 +13,9 @@
 // candidate.
 //
 // The fleet is a live membership table, not a frozen list: workers join
-// through Join (the serving layer's POST /register), renew through
-// Heartbeat, and are evicted when their lease lapses — see membership.go.
+// through Join (in dsed, the peer's projection of its gossip view),
+// renew through Heartbeat, and are evicted when their lease lapses — see
+// membership.go.
 // The consistent-hash ring rebuilds incrementally on join and leave, so a
 // campaign keeps running while machines come and go, re-dispatching only
 // the shards orphaned by a departure.

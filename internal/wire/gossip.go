@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sort"
 
 	"repro/internal/obs"
@@ -36,8 +37,10 @@ type GossipEntry struct {
 	Incarnation uint64 `json:"incarnation"`
 	Beat        uint64 `json:"beat"`
 	State       string `json:"state"`
-	// Inventory mirrors the heartbeat adverts so the gossip view can
-	// drive shard placement exactly like registration did.
+	// Inventory drives shard placement: Capacity is how many concurrent
+	// shards the node wants at most (0 = the scheduler's default),
+	// Benchmarks its trained-model inventory (affinity targets), and
+	// QueueDepths its running jobs per benchmark (the spill signal).
 	Capacity    int            `json:"capacity,omitempty"`
 	Benchmarks  []string       `json:"benchmarks,omitempty"`
 	QueueDepths map[string]int `json:"queue_depths,omitempty"`
@@ -55,23 +58,81 @@ type GossipRequest struct {
 	Entries []GossipEntry `json:"entries"`
 }
 
-// Validate rejects malformed digests.
+// Validate rejects malformed digests. Gossip is the only way membership
+// data enters a node, so every entry (and the sender) is held to the
+// bounds the scheduler's member table relies on.
 func (r GossipRequest) Validate() error {
-	if r.From == "" {
-		return errors.New("gossip needs a from address")
+	if err := CheckPeerAddr(r.From); err != nil {
+		return fmt.Errorf("gossip from: %w", err)
 	}
 	if len(r.Entries) > MaxGossipEntries {
 		return fmt.Errorf("gossip digest carries at most %d entries (got %d)", MaxGossipEntries, len(r.Entries))
 	}
 	for _, e := range r.Entries {
-		if e.Addr == "" {
-			return errors.New("gossip entry without an address")
+		if err := e.validate(); err != nil {
+			return fmt.Errorf("gossip entry %q: %w", e.Addr, err)
 		}
-		switch e.State {
-		case GossipAlive, GossipSuspect, GossipDead:
-		default:
-			return fmt.Errorf("unknown gossip state %q", e.State)
+	}
+	return nil
+}
+
+func (e GossipEntry) validate() error {
+	if err := CheckPeerAddr(e.Addr); err != nil {
+		return err
+	}
+	switch e.State {
+	case GossipAlive, GossipSuspect, GossipDead:
+	default:
+		return fmt.Errorf("unknown gossip state %q", e.State)
+	}
+	if e.Capacity < 0 {
+		return fmt.Errorf("capacity %d is negative", e.Capacity)
+	}
+	if len(e.Benchmarks) > MaxInventoryBenchmarks {
+		return fmt.Errorf("inventory lists %d benchmarks, at most %d are usable", len(e.Benchmarks), MaxInventoryBenchmarks)
+	}
+	for _, b := range e.Benchmarks {
+		if err := checkName(b); err != nil {
+			return fmt.Errorf("inventory: %w", err)
 		}
+	}
+	if len(e.QueueDepths) > MaxInventoryBenchmarks {
+		return fmt.Errorf("queue depths list %d benchmarks, at most %d are usable", len(e.QueueDepths), MaxInventoryBenchmarks)
+	}
+	for b, d := range e.QueueDepths {
+		if err := checkName(b); err != nil {
+			return fmt.Errorf("queue depths: %w", err)
+		}
+		if d < 0 {
+			return fmt.Errorf("queue depth %d for %q is negative", d, b)
+		}
+	}
+	return nil
+}
+
+// maxNameLen bounds an advertised benchmark name.
+const maxNameLen = 128
+
+func checkName(name string) error {
+	if name == "" || len(name) > maxNameLen {
+		return fmt.Errorf("benchmark name %q is not 1-%d bytes", name, maxNameLen)
+	}
+	return nil
+}
+
+// CheckPeerAddr accepts a peer address peers can dial: host:port with a
+// non-empty host and port. A bare ":9401" is rejected — every remote
+// peer would dial it as its own localhost.
+func CheckPeerAddr(addr string) error {
+	if addr == "" {
+		return errors.New("empty peer address")
+	}
+	host, port, err := net.SplitHostPort(addr)
+	if err != nil {
+		return fmt.Errorf("peer address %q is not host:port: %w", addr, err)
+	}
+	if host == "" || port == "" {
+		return fmt.Errorf("peer address %q needs both a host and a port", addr)
 	}
 	return nil
 }

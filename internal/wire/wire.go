@@ -9,7 +9,6 @@ package wire
 import (
 	"errors"
 	"fmt"
-	"strings"
 
 	"repro/internal/explore"
 	"repro/internal/mathx"
@@ -299,8 +298,9 @@ type SweepRequest struct {
 
 // Validate rejects malformed sweep requests — empty or unknown
 // objectives, out-of-range objective and constraint indexes. It is the
-// single accept/reject rule shared by a worker's /sweep and a
-// coordinator's /cluster/sweep, so the two surfaces cannot drift.
+// single accept/reject rule shared by a single daemon's /v1/sweeps and a
+// peer coordinating the same request across its fleet, so the two
+// cannot drift.
 func (r SweepRequest) Validate() error {
 	if err := validateObjectives(r.Objectives); err != nil {
 		return err
@@ -333,9 +333,9 @@ func validateScope(scope string) error {
 var ErrNoObjectives = errors.New("no objectives given")
 
 // validateObjectives rejects empty objective lists, bad kinds, and
-// unknown metric names up front — before a worker resolves models (which
-// could train on demand) or a coordinator fans a doomed request across
-// the fleet.
+// unknown metric names up front — before a node resolves models (which
+// could train on demand) or a peer fans a doomed request across the
+// fleet.
 func validateObjectives(specs []ObjectiveSpec) error {
 	if len(specs) == 0 {
 		return ErrNoObjectives
@@ -351,7 +351,7 @@ func validateObjectives(specs []ObjectiveSpec) error {
 	return nil
 }
 
-// SweepResponse answers POST /sweep.
+// SweepResponse is the result of a single-node top-K job (POST /v1/sweeps).
 type SweepResponse struct {
 	Benchmark  string      `json:"benchmark"`
 	Objectives []string    `json:"objectives"`
@@ -361,8 +361,8 @@ type SweepResponse struct {
 	Candidates []Candidate `json:"candidates"`
 }
 
-// ParetoRequest is the body of POST /pareto: the Pareto frontier of a
-// design space under the chosen objectives.
+// ParetoRequest is the body of POST /v1/pareto: the Pareto frontier of
+// a design space under the chosen objectives.
 type ParetoRequest struct {
 	Benchmark  string          `json:"benchmark"`
 	Objectives []ObjectiveSpec `json:"objectives"`
@@ -371,8 +371,8 @@ type ParetoRequest struct {
 	Scope string `json:"scope,omitempty"`
 }
 
-// Validate rejects malformed frontier requests; shared by a worker's
-// /pareto and a coordinator's /cluster/pareto.
+// Validate rejects malformed frontier requests; shared by the
+// single-node and fleet-scope job paths.
 func (r ParetoRequest) Validate() error {
 	if err := validateObjectives(r.Objectives); err != nil {
 		return err
@@ -380,7 +380,7 @@ func (r ParetoRequest) Validate() error {
 	return validateScope(r.Scope)
 }
 
-// ParetoResponse answers POST /pareto.
+// ParetoResponse is the result of a single-node frontier job (POST /v1/pareto).
 type ParetoResponse struct {
 	Benchmark  string      `json:"benchmark"`
 	Objectives []string    `json:"objectives"`
@@ -389,9 +389,10 @@ type ParetoResponse struct {
 	Frontier   []Candidate `json:"frontier"`
 }
 
-// WarmRequest is the body of POST /warm: pre-train (or warm-start) every
-// configured metric of the named benchmarks before the first sweep needs
-// them — the admin hook a coordinator uses to place models on workers.
+// WarmRequest is the body of POST /v1/warm: pre-train (or warm-start)
+// every configured metric of the named benchmarks before the first sweep
+// needs them — the admin hook a peer uses to place models across its
+// fleet.
 type WarmRequest struct {
 	Benchmarks []string `json:"benchmarks"`
 	// Scope: see SweepRequest.Scope.
@@ -402,8 +403,8 @@ type WarmRequest struct {
 // list stays small by construction.
 const MaxWarmBenchmarks = 64
 
-// Validate rejects malformed warm requests; shared by a worker's /warm
-// and a coordinator's.
+// Validate rejects malformed warm requests, at local and fleet scope
+// alike.
 func (r WarmRequest) Validate() error {
 	if len(r.Benchmarks) == 0 {
 		return errors.New("warm needs a non-empty benchmark list")
@@ -418,108 +419,25 @@ func (r WarmRequest) Validate() error {
 type WarmResponse struct {
 	Benchmarks []string `json:"benchmarks"`
 	// Trainings counts the training runs this warm itself triggered
-	// (already-warm benchmarks cost zero); a coordinator reports the sum
-	// across its fleet.
+	// (already-warm benchmarks cost zero); a fleet-scope warm reports the
+	// sum across the fleet.
 	Trainings int     `json:"trainings"`
 	ElapsedMS float64 `json:"elapsed_ms"`
-	// Errors lists per-worker failures of a partially successful
-	// coordinator warm (the successful placements stand; a sweep would
-	// re-dispatch around the failed workers).
+	// Errors lists per-peer failures of a partially successful fleet
+	// warm (the successful placements stand; a sweep would re-dispatch
+	// around the failed peers).
 	Errors []string `json:"errors,omitempty"`
 }
 
-// MaxInventoryBenchmarks bounds the trained-model inventory one register
-// or heartbeat may advertise; a fleet member holding more models than
-// this advertises its first MaxInventoryBenchmarks and still benefits
-// from affinity for those.
+// MaxInventoryBenchmarks bounds the trained-model inventory (and the
+// per-benchmark queue depths) one gossip entry may advertise; a peer
+// holding more models than this advertises its first
+// MaxInventoryBenchmarks and still benefits from affinity for those.
 const MaxInventoryBenchmarks = 256
 
-// RegisterRequest is the body of POST /register: a worker joining the
-// coordinator's fleet (or renewing its membership — re-registering is
-// idempotent). Addr is how the coordinator reaches the worker, so it
-// must be routable from the coordinator, not the worker's loopback view
-// of itself.
-type RegisterRequest struct {
-	Addr string `json:"addr"`
-	// Capacity is how many concurrent shards the worker wants at most
-	// (0 = the coordinator's default).
-	Capacity int `json:"capacity,omitempty"`
-	// Benchmarks is the worker's trained-model inventory (benchmarks
-	// with every served metric in memory); the scheduler routes those
-	// benchmarks' shards to this worker first.
-	Benchmarks []string `json:"benchmarks,omitempty"`
-	// QueueDepths maps benchmark name to the worker's currently running
-	// job count for it — the load signal behind smarter spill decisions
-	// (a worker drowning in one benchmark's jobs is a poor affinity
-	// target even though it holds the models). Reported per heartbeat and
-	// surfaced in the coordinator's /healthz.
-	QueueDepths map[string]int `json:"queue_depths,omitempty"`
-}
-
-// Validate rejects malformed registrations before they touch the
-// membership table.
-func (r RegisterRequest) Validate() error {
-	if r.Addr == "" {
-		return errors.New("register needs a worker addr")
-	}
-	if !strings.Contains(r.Addr, ":") {
-		return fmt.Errorf("worker addr %q is not host:port (or a URL)", r.Addr)
-	}
-	if r.Capacity < 0 {
-		return fmt.Errorf("capacity %d is negative", r.Capacity)
-	}
-	if len(r.Benchmarks) > MaxInventoryBenchmarks {
-		return fmt.Errorf("inventory lists %d benchmarks, at most %d are usable", len(r.Benchmarks), MaxInventoryBenchmarks)
-	}
-	for _, b := range r.Benchmarks {
-		if b == "" || len(b) > 128 {
-			return fmt.Errorf("inventory benchmark name %q is empty or oversized", b)
-		}
-	}
-	if len(r.QueueDepths) > MaxInventoryBenchmarks {
-		return fmt.Errorf("queue depths list %d benchmarks, at most %d are usable", len(r.QueueDepths), MaxInventoryBenchmarks)
-	}
-	for b, d := range r.QueueDepths {
-		if b == "" || len(b) > 128 {
-			return fmt.Errorf("queue-depth benchmark name %q is empty or oversized", b)
-		}
-		if d < 0 {
-			return fmt.Errorf("queue depth %d for %q is negative", d, b)
-		}
-	}
-	return nil
-}
-
-// RegisterResponse answers POST /register.
-type RegisterResponse struct {
-	// Worker is the canonical member name the coordinator filed the
-	// worker under; heartbeats must use it.
-	Worker string `json:"worker"`
-	// Workers is the live fleet size after the join.
-	Workers int `json:"workers"`
-	// TTLSeconds is the membership lease: heartbeat again before it
-	// lapses or be evicted.
-	TTLSeconds float64 `json:"ttl_seconds"`
-}
-
-// HeartbeatRequest is the body of POST /heartbeat: a lease renewal
-// carrying the worker's current inventory. The shape matches
-// RegisterRequest so a worker builds both from the same state.
-type HeartbeatRequest RegisterRequest
-
-// Validate rejects malformed heartbeats.
-func (r HeartbeatRequest) Validate() error { return RegisterRequest(r).Validate() }
-
-// HeartbeatResponse answers POST /heartbeat. An unknown worker gets a
-// 404 error envelope instead: it must re-register.
-type HeartbeatResponse struct {
-	Worker     string  `json:"worker"`
-	Workers    int     `json:"workers"`
-	TTLSeconds float64 `json:"ttl_seconds"`
-}
-
-// ClusterSweepResponse answers POST /cluster/sweep: a SweepResponse merged
-// from per-shard worker answers, plus the distribution's accounting.
+// ClusterSweepResponse is the result of a fleet-scope top-K job: a
+// SweepResponse merged from per-shard answers, plus the distribution's
+// accounting.
 type ClusterSweepResponse struct {
 	SweepResponse
 	Workers int `json:"workers"`
@@ -530,11 +448,12 @@ type ClusterSweepResponse struct {
 	// callers can fetch GET /v1/jobs/{id}/trace afterwards.
 	JobID string `json:"job_id,omitempty"`
 	// Spans carries the responding daemon's trace spans for the job —
-	// the coordinator splices a worker's spans under its dispatch span.
+	// the coordinating peer splices a shard's spans under its dispatch
+	// span.
 	Spans []obs.Span `json:"spans,omitempty"`
 }
 
-// ClusterParetoResponse answers POST /cluster/pareto.
+// ClusterParetoResponse is the result of a fleet-scope frontier job.
 type ClusterParetoResponse struct {
 	ParetoResponse
 	Workers int        `json:"workers"`

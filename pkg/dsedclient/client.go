@@ -4,8 +4,8 @@
 // it, so a wire-format change breaks one package instead of five
 // hand-rolled JSON call sites.
 //
-// Synchronous endpoints (Predict, Warm, Register, Heartbeat, Healthy)
-// are one call each. Exploration is asynchronous: SubmitSweep and
+// Synchronous endpoints (Predict, Warm, Gossip, Replicate, Healthy) are
+// one call each. Exploration is asynchronous: SubmitSweep and
 // SubmitPareto return a job immediately; Job polls it, Stream follows
 // its NDJSON partial-frontier updates (resuming transparently after a
 // disconnect — every update is a cumulative snapshot, so the resumed
@@ -148,8 +148,9 @@ func isDialError(err error) bool {
 	return errors.As(err, &oe) && oe.Op == "dial"
 }
 
-// APIError is a daemon's structured /v1 error (legacy envelopes decode
-// into it too, with the code derived from the status).
+// APIError is a daemon's structured /v1 error (a bare {"error": "..."}
+// body from a proxy or an older server decodes into it too, with the
+// code derived from the status).
 type APIError struct {
 	Status    int
 	Code      string
@@ -421,26 +422,6 @@ func (c *Client) Gossip(ctx context.Context, req wire.GossipRequest) (*wire.Goss
 func (c *Client) Replicate(ctx context.Context, req wire.ReplicateRequest) (*wire.ReplicateResponse, error) {
 	var out wire.ReplicateResponse
 	if err := c.do(ctx, http.MethodPost, "/v1/jobs/replicate", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Register joins (or renews) this worker's membership in a coordinator's
-// fleet.
-func (c *Client) Register(ctx context.Context, req wire.RegisterRequest) (*wire.RegisterResponse, error) {
-	var out wire.RegisterResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/register", req, &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Heartbeat renews a registered worker's lease. A 404 *APIError means
-// the coordinator forgot the worker: Register again.
-func (c *Client) Heartbeat(ctx context.Context, req wire.HeartbeatRequest) (*wire.HeartbeatResponse, error) {
-	var out wire.HeartbeatResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/heartbeat", req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

@@ -21,8 +21,8 @@ import (
 
 // ExampleClient_ParetoJob is the one-call happy path: submit a frontier
 // job, watch its merged partial frontiers stream in, and take the final
-// answer. Against a coordinator the updates carry per-worker
-// attribution; against a single worker the distribution fields are zero.
+// answer. Against a peer fleet the updates carry per-peer shard
+// attribution; against a single daemon the distribution fields are zero.
 func ExampleClient_ParetoJob() {
 	c := dsedclient.New("http://localhost:8090")
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
@@ -100,14 +100,15 @@ func ExampleClient_SubmitSweep() {
 	}
 }
 
-// Example_multiPolicyCoordinator drives two coordinators that schedule
-// the same fleet under different placement policies — say one booted
-// with `-policy affinity` and one with `-policy least-loaded
-// -hedge-factor 3` — and races the same sweep through both. The client
-// is identical either way: scheduling policy is a coordinator-side
-// decision, invisible in the wire protocol except as makespan and the
-// per-update Worker attribution.
-func Example_multiPolicyCoordinator() {
+// Example_multiPolicyFleet drives two peer fleets that schedule the
+// same models under different placement policies — say one booted with
+// `-policy affinity` and one with `-policy least-loaded -hedge-factor 3`
+// — and races the same sweep through both. Each client lists every peer
+// of its fleet, so it fails over if the accepting peer dies. The client
+// is identical either way: scheduling policy is a fleet-side decision,
+// invisible in the wire protocol except as makespan and the per-update
+// Worker attribution.
+func Example_multiPolicyFleet() {
 	req := wire.ParetoRequest{
 		Benchmark: "gcc",
 		Objectives: []wire.ObjectiveSpec{
@@ -117,11 +118,13 @@ func Example_multiPolicyCoordinator() {
 		SpaceSpec: wire.SpaceSpec{Space: "test", Sample: 16384, Seed: 3},
 	}
 	ctx := context.Background()
-	for _, addr := range []string{
-		"http://localhost:9100", // dsed -coordinator -policy affinity
-		"http://localhost:9200", // dsed -coordinator -policy least-loaded -hedge-factor 3
+	for _, fleet := range []string{
+		// dsed -peers ... -policy affinity
+		"http://localhost:9101,http://localhost:9102",
+		// dsed -peers ... -policy least-loaded -hedge-factor 3
+		"http://localhost:9201,http://localhost:9202",
 	} {
-		c := dsedclient.New(addr, dsedclient.WithRetries(2))
+		c := dsedclient.New(fleet, dsedclient.WithRetries(2))
 		perWorker := map[string]int{}
 		start := time.Now()
 		final, err := c.ParetoJob(ctx, req, func(u api.Update) {
@@ -132,7 +135,7 @@ func Example_multiPolicyCoordinator() {
 		}
 		// Same frontier from every policy — placement moves the work and
 		// the makespan, never the answer.
-		fmt.Printf("%s: %d frontier points in %v, shards by worker: %v\n",
-			addr, len(final.Frontier), time.Since(start).Round(time.Millisecond), perWorker)
+		fmt.Printf("%s: %d frontier points in %v, shards by peer: %v\n",
+			fleet, len(final.Frontier), time.Since(start).Round(time.Millisecond), perWorker)
 	}
 }
