@@ -487,6 +487,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.Fatal(err)
 	}
 	_ = tr
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(space.Baseline(), "gcc", sim.Options{Instructions: 65536, Samples: 16}); err != nil {

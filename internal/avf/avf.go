@@ -61,11 +61,12 @@ func (t *Tracker) OnCommit(dead bool) {
 	}
 }
 
-// Tick accumulates one cycle of residency.
-func (t *Tracker) Tick() {
-	t.cycles++
-	t.iqACECycles += uint64(t.curIQACE)
-	t.robACECycles += uint64(t.curROBACE)
+// TickN accumulates n cycles of residency over which no entry arrives or
+// leaves.
+func (t *Tracker) TickN(n uint64) {
+	t.cycles += n
+	t.iqACECycles += n * uint64(t.curIQACE)
+	t.robACECycles += n * uint64(t.curROBACE)
 }
 
 // CurrentIQACE returns the number of ACE entries resident in the IQ now —

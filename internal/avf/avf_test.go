@@ -10,9 +10,7 @@ import (
 
 func TestEmptyStructuresHaveZeroAVF(t *testing.T) {
 	tr := NewTracker(32, 96)
-	for i := 0; i < 100; i++ {
-		tr.Tick()
-	}
+	tr.TickN(100)
 	if tr.IQAVF() != 0 || tr.ROBAVF() != 0 {
 		t.Errorf("empty structures AVF = %v/%v, want 0", tr.IQAVF(), tr.ROBAVF())
 	}
@@ -21,9 +19,7 @@ func TestEmptyStructuresHaveZeroAVF(t *testing.T) {
 func TestFullyResidentACEInstruction(t *testing.T) {
 	tr := NewTracker(4, 8)
 	tr.OnDispatch(false)
-	for i := 0; i < 10; i++ {
-		tr.Tick()
-	}
+	tr.TickN(10)
 	// One ACE entry in a 4-entry IQ for all 10 cycles → AVF 0.25.
 	if got := tr.IQAVF(); math.Abs(got-0.25) > 1e-12 {
 		t.Errorf("IQ AVF = %v, want 0.25", got)
@@ -37,9 +33,7 @@ func TestFullyResidentACEInstruction(t *testing.T) {
 func TestDeadInstructionsAreUnACE(t *testing.T) {
 	tr := NewTracker(4, 8)
 	tr.OnDispatch(true) // dynamically dead
-	for i := 0; i < 10; i++ {
-		tr.Tick()
-	}
+	tr.TickN(10)
 	if tr.IQAVF() != 0 {
 		t.Errorf("dead instruction contributed AVF %v", tr.IQAVF())
 	}
@@ -50,9 +44,9 @@ func TestDeadInstructionsAreUnACE(t *testing.T) {
 func TestIssueRemovesFromIQButNotROB(t *testing.T) {
 	tr := NewTracker(4, 8)
 	tr.OnDispatch(false)
-	tr.Tick() // cycle with entry in both
+	tr.TickN(1) // cycle with entry in both
 	tr.OnIssue(false)
-	tr.Tick()                                           // entry only in ROB
+	tr.TickN(1)                                         // entry only in ROB
 	if got := tr.IQAVF(); math.Abs(got-0.125) > 1e-12 { // 1 of 2 cycles × 1/4
 		t.Errorf("IQ AVF = %v, want 0.125", got)
 	}
@@ -64,11 +58,10 @@ func TestIssueRemovesFromIQButNotROB(t *testing.T) {
 func TestIntervalAVF(t *testing.T) {
 	tr := NewTracker(2, 4)
 	tr.OnDispatch(false)
-	tr.Tick()
+	tr.TickN(1)
 	s1 := tr.Snapshot()
 	tr.OnDispatch(false)
-	tr.Tick()
-	tr.Tick()
+	tr.TickN(2)
 	iq, rob := tr.IntervalAVF(s1, tr.Snapshot())
 	// Interval covers 2 cycles with 2 ACE entries in a 2-entry IQ → 1.0.
 	if math.Abs(iq-1) > 1e-12 {
@@ -142,10 +135,10 @@ func TestAVFBoundsProperty(t *testing.T) {
 					inflight = inflight[1:]
 				}
 			default:
-				tr.Tick()
+				tr.TickN(1)
 			}
 		}
-		tr.Tick()
+		tr.TickN(1)
 		iq, rob := tr.IQAVF(), tr.ROBAVF()
 		return iq >= 0 && iq <= 1 && rob >= 0 && rob <= 1
 	}

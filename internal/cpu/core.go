@@ -16,6 +16,31 @@
 //
 // Every structure the nine design parameters name (fetch width, ROB, IQ,
 // LSQ, both L1s, L2 and the two latencies) has first-class timing effect.
+//
+// Idle-cycle fast-forward. Memory-bound code spends most cycles waiting: a
+// long-latency miss blocks the ROB head, the window is full, fetch is
+// stalled. Such a cycle changes nothing but the per-cycle occupancy and
+// AVF sums, and it stays that way until an instruction completes or the
+// fetch stall expires. The core therefore jumps over provably idle runs
+// in one step, adding n× the unchanged occupancies. A cycle is idle when
+// all of these hold:
+//
+//   - its completion-wheel slot is empty (nothing writes back);
+//   - the ready queue is empty (nothing issues);
+//   - the ROB head has not completed, or the run's commit budget is spent;
+//   - dispatch cannot place the next fetched instruction: the fetch
+//     buffer is empty, or the ROB, IQ or (for a memory op) LSQ is full;
+//   - fetch is blocked on a mispredict, stalled until fetchStallUntil, or
+//     has no buffer room.
+//
+// Only a completion or the stall expiring can end such a run, so the jump
+// lands on the next non-empty wheel slot or fetchStallUntil, whichever
+// comes first, and never exceeds one wheel revolution (so the deadlock
+// watchdog still sees every stuck pipeline). The result is bit-identical
+// to stepping each cycle. Cores with DVM enabled never fast-forward: the
+// controller samples IQ ACE occupancy every cycle and its throttle can
+// change dispatch from one cycle to the next, so they take the per-cycle
+// path.
 package cpu
 
 import (
@@ -57,8 +82,16 @@ type robEntry struct {
 	usesLSQ   bool
 	completed bool
 
-	pendingDeps int32
-	consumers   []int32
+	// pendingDeps counts operands still waiting on a producer. The
+	// consumers waiting on this entry form a list threaded through their
+	// depNext links: firstConsumer and each link name a consumer's ROB
+	// slot and operand as slot<<1 | operand, or -1 at the end.
+	pendingDeps   int32
+	firstConsumer int32
+	depNext       [2]int32
+
+	// nextDone threads the completion wheel slot this entry waits in.
+	nextDone int32
 
 	mispredicted bool
 	// Memory hierarchy outcomes recorded at dispatch, consumed by
@@ -104,7 +137,10 @@ type Core struct {
 	blockedInQ      bool // the blocking branch is still in the fetch queue
 	fetchStallUntil uint64
 
-	wheel [wheelSize][]int32
+	// The completion wheel: wheelHead[s] and wheelTail[s] delimit the
+	// list (through robEntry.nextDone) of ROB slots that complete at the
+	// cycles ≡ s mod wheelSize; -1 marks an empty slot.
+	wheelHead, wheelTail [wheelSize]int32
 
 	outstandingL2 int
 
@@ -156,6 +192,10 @@ func New(cfg space.Config, gen workload.Generator) (*Core, error) {
 	c.ras = bpred.NewRAS(cfg.RASEntries)
 	c.tracker = avf.NewTracker(cfg.IQSize, cfg.ROBSize)
 	c.rob = make([]robEntry, cfg.ROBSize)
+	c.readyQ = make([]int32, 0, cfg.IQSize)
+	for s := range c.wheelHead {
+		c.wheelHead[s] = -1
+	}
 	c.fetchQ = make([]fetchedInst, 0, 4*cfg.FetchWidth)
 	c.blockedSlot = -1
 	gen.Reset()
@@ -171,8 +211,13 @@ func (c *Core) EnableDVM(threshold float64, sampleIntervalCycles uint64) {
 // Config returns the core's configuration.
 func (c *Core) Config() space.Config { return c.cfg }
 
-// step advances the simulation one cycle.
+// step advances the simulation one cycle, or fast-forwards over a run of
+// idle cycles (see idleCycles).
 func (c *Core) step() {
+	if n := c.idleCycles(); n > 0 {
+		c.tick(n)
+		return
+	}
 	c.writeback()
 	c.commit()
 	c.issue()
@@ -184,22 +229,65 @@ func (c *Core) step() {
 		c.fetchHead = 0
 	}
 	c.fetch()
+	c.tick(1)
+}
 
-	// Per-cycle accounting.
-	c.c.robOccSum += uint64(c.robCount)
-	c.c.iqOccSum += uint64(c.iqCount)
-	c.c.lsqOccSum += uint64(c.lsqCount)
-	c.tracker.Tick()
+// tick does the per-cycle accounting for n cycles over which occupancy is
+// unchanged, and advances the clock past them. DVM cores only tick one
+// cycle at a time: the controller samples every cycle.
+func (c *Core) tick(n uint64) {
+	c.c.robOccSum += n * uint64(c.robCount)
+	c.c.iqOccSum += n * uint64(c.iqCount)
+	c.c.lsqOccSum += n * uint64(c.lsqCount)
+	c.tracker.TickN(n)
 	if c.dvmCtl != nil {
 		c.dvmCtl.Tick(c.tracker.CurrentIQACE())
 	}
-	c.cycle++
+	c.cycle += n
+}
+
+// idleCycles returns how many cycles, starting with the current one, the
+// pipeline provably only accrues occupancy, or 0 if this cycle does work
+// (the exactness conditions are in the package comment).
+func (c *Core) idleCycles() uint64 {
+	if c.dvmCtl != nil || len(c.readyQ) > 0 || c.wheelHead[c.cycle%wheelSize] >= 0 {
+		return 0
+	}
+	if c.robCount > 0 && c.committed < c.commitStop && c.rob[c.robHead].completed {
+		return 0
+	}
+	if c.canDispatch() {
+		return 0
+	}
+	stalled := c.cycle < c.fetchStallUntil
+	if !c.fetchBlocked && !stalled && len(c.fetchQ)-c.fetchHead < cap(c.fetchQ) {
+		return 0
+	}
+	limit := uint64(wheelSize)
+	if stalled && c.fetchStallUntil-c.cycle < limit {
+		limit = c.fetchStallUntil - c.cycle
+	}
+	n := uint64(1)
+	for n < limit && c.wheelHead[(c.cycle+n)%wheelSize] < 0 {
+		n++
+	}
+	return n
+}
+
+// canDispatch reports whether the window has room for the next fetched
+// instruction (ignoring the DVM throttle).
+func (c *Core) canDispatch() bool {
+	if c.fetchHead >= len(c.fetchQ) || c.robCount >= c.cfg.ROBSize || c.iqCount >= c.cfg.IQSize {
+		return false
+	}
+	op := c.fetchQ[c.fetchHead].inst.Op
+	return (op != workload.OpLoad && op != workload.OpStore) || c.lsqCount < c.cfg.LSQSize
 }
 
 // writeback drains this cycle's completions, waking dependents.
 func (c *Core) writeback() {
-	slot := &c.wheel[c.cycle%wheelSize]
-	for _, idx := range *slot {
+	s := c.cycle % wheelSize
+	for idx := c.wheelHead[s]; idx >= 0; idx = c.rob[idx].nextDone {
 		e := &c.rob[idx]
 		e.completed = true
 		if e.op == workload.OpLoad && e.l2Miss {
@@ -213,16 +301,18 @@ func (c *Core) writeback() {
 				c.fetchStallUntil = resume
 			}
 		}
-		for _, consumer := range e.consumers {
+		for ref := e.firstConsumer; ref >= 0; {
+			consumer := ref >> 1
 			ce := &c.rob[consumer]
+			ref = ce.depNext[ref&1]
 			ce.pendingDeps--
 			if ce.pendingDeps == 0 && ce.inIQ {
 				c.readyQ = append(c.readyQ, consumer)
 			}
 		}
-		e.consumers = e.consumers[:0]
+		e.firstConsumer = -1
 	}
-	*slot = (*slot)[:0]
+	c.wheelHead[s] = -1
 }
 
 // commit retires completed instructions in order.
@@ -301,8 +391,14 @@ func (c *Core) issue() {
 		if lat == 0 {
 			lat = 1
 		}
-		done := c.cycle + lat
-		c.wheel[done%wheelSize] = append(c.wheel[done%wheelSize], idx)
+		s := (c.cycle + lat) % wheelSize
+		e.nextDone = -1
+		if c.wheelHead[s] < 0 {
+			c.wheelHead[s] = idx
+		} else {
+			c.rob[c.wheelTail[s]].nextDone = idx
+		}
+		c.wheelTail[s] = idx
 		issued++
 	}
 }
@@ -334,28 +430,21 @@ func (c *Core) dispatch() {
 			return
 		}
 	}
-	for n := 0; n < width && c.fetchHead < len(c.fetchQ); n++ {
+	for n := 0; n < width && c.canDispatch(); n++ {
 		fi := &c.fetchQ[c.fetchHead]
 		inst := &fi.inst
 		needsLSQ := inst.Op == workload.OpLoad || inst.Op == workload.OpStore
-		if c.robCount >= c.cfg.ROBSize || c.iqCount >= c.cfg.IQSize {
-			return
-		}
-		if needsLSQ && c.lsqCount >= c.cfg.LSQSize {
-			return
-		}
 
 		slot := int32((c.robHead + c.robCount) % len(c.rob))
 		e := &c.rob[slot]
-		oldConsumers := e.consumers
 		*e = robEntry{
-			seq:          c.seq,
-			op:           inst.Op,
-			dead:         inst.Dead,
-			inIQ:         true,
-			usesLSQ:      needsLSQ,
-			mispredicted: fi.mispredicted,
-			consumers:    oldConsumers[:0],
+			seq:           c.seq,
+			op:            inst.Op,
+			dead:          inst.Dead,
+			inIQ:          true,
+			usesLSQ:       needsLSQ,
+			mispredicted:  fi.mispredicted,
+			firstConsumer: -1,
 		}
 		c.robCount++
 		c.iqCount++
@@ -376,7 +465,7 @@ func (c *Core) dispatch() {
 		// Resolve register dependences against the in-flight window: the
 		// producer of a distance-d dependence occupies the ROB slot d
 		// positions back, provided it has not committed (d < robCount).
-		for _, d := range [2]uint16{inst.Dep1, inst.Dep2} {
+		for k, d := range [2]uint16{inst.Dep1, inst.Dep2} {
 			if d == 0 || int(d) >= c.robCount {
 				continue // no dependence, or producer already committed
 			}
@@ -385,7 +474,8 @@ func (c *Core) dispatch() {
 			if pe.completed {
 				continue
 			}
-			pe.consumers = append(pe.consumers, slot)
+			e.depNext[k] = pe.firstConsumer
+			pe.firstConsumer = slot<<1 | int32(k)
 			e.pendingDeps++
 		}
 		if e.pendingDeps == 0 {
@@ -428,8 +518,12 @@ func (c *Core) fetch() {
 		width = room
 	}
 	for n := 0; n < width; n++ {
-		var inst workload.Inst
-		c.gen.Next(&inst)
+		// Fill the buffer's next slot in place: an Inst handed to the
+		// interface method from the stack would escape to the heap.
+		c.fetchQ = c.fetchQ[:len(c.fetchQ)+1]
+		fi := &c.fetchQ[len(c.fetchQ)-1]
+		inst := &fi.inst
+		c.gen.Next(inst)
 		c.c.fetches++
 
 		// Instruction memory.
@@ -453,12 +547,12 @@ func (c *Core) fetch() {
 			}
 		}
 
-		mispred := false
+		fi.mispredicted = false
 		stopFetch := false
 		if inst.Op == workload.OpBranch {
 			c.c.branches++
-			mispred = c.predictBranch(&inst)
-			if mispred {
+			fi.mispredicted = c.predictBranch(inst)
+			if fi.mispredicted {
 				c.c.mispredicts++
 				c.fetchBlocked = true
 				c.blockedInQ = true
@@ -469,7 +563,6 @@ func (c *Core) fetch() {
 				stopFetch = true
 			}
 		}
-		c.fetchQ = append(c.fetchQ, fetchedInst{inst: inst, mispredicted: mispred})
 		if stopFetch || c.cycle < c.fetchStallUntil {
 			return
 		}

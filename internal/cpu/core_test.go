@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/space"
@@ -304,16 +305,21 @@ func TestDVMStallsReported(t *testing.T) {
 	}
 }
 
+// BenchmarkCoreCycles times single pipeline steps of a committing core; a
+// step covers one busy cycle or a fast-forwarded run of idle ones, so it
+// also reports the time per simulated cycle.
 func BenchmarkCoreCycles(b *testing.B) {
 	p, _ := workload.ProfileByName("gcc")
 	core, err := New(space.Baseline(), workload.MustNewGenerator(p))
 	if err != nil {
 		b.Fatal(err)
 	}
+	core.commitStop = math.MaxUint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		core.step()
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(core.Cycles()), "ns/cycle")
 }
 
 func BenchmarkCorePerInstruction(b *testing.B) {

@@ -170,6 +170,80 @@ func TestErrDeadlockIsSentinel(t *testing.T) {
 	}
 }
 
+// TestWatchdogFiresThroughFastForward puts a core into states that can
+// never make progress again. Idle fast-forward must cover them in whole
+// wheel revolutions, neither hanging nor hiding the deadlock from Run.
+func TestWatchdogFiresThroughFastForward(t *testing.T) {
+	cases := []struct {
+		name  string
+		stuck func(c *Core)
+	}{
+		{"fetch blocked on a slot that never completes", func(c *Core) {
+			c.fetchBlocked = true
+			c.blockedSlot = 0
+		}},
+		{"ROB head waits on an operand nothing produces", func(c *Core) {
+			c.rob[0] = robEntry{inIQ: true, pendingDeps: 1, firstConsumer: -1}
+			c.robCount, c.iqCount, c.seq = 1, 1, 1
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p, _ := workload.ProfileByName("gcc")
+			c, err := New(space.Baseline(), workload.MustNewGenerator(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.stuck(c)
+			c.commitStop = 1
+			// Whatever the pipeline still does before it stalls, the
+			// stalled remainder costs one step per wheel revolution.
+			const maxSteps = 10_000 + watchdogWindow/wheelSize
+			steps := 0
+			for c.cycle < watchdogWindow && steps <= maxSteps {
+				c.step()
+				steps++
+			}
+			if steps > maxSteps {
+				t.Fatalf("%d steps covered only %d cycles; fast-forward did not engage", steps, c.cycle)
+			}
+			if c.committed != 0 {
+				t.Fatalf("a stuck core committed %d instructions", c.committed)
+			}
+			start := c.cycle
+			_, err = c.Run(1024, 1)
+			if !errors.Is(err, ErrDeadlock) {
+				t.Fatalf("Run returned %v, want ErrDeadlock", err)
+			}
+			if c.cycle-start > watchdogWindow+wheelSize {
+				t.Errorf("watchdog fired %d cycles into Run, want ≤ %d", c.cycle-start, watchdogWindow+wheelSize)
+			}
+		})
+	}
+}
+
+// TestRunAllocationsIndependentOfLength shows that fetch, dispatch, issue
+// and writeback allocate nothing per instruction: a fresh core running 8×
+// the instructions allocates no more than a short run.
+func TestRunAllocationsIndependentOfLength(t *testing.T) {
+	p, _ := workload.ProfileByName("gcc")
+	allocs := func(n uint64) float64 {
+		return testing.AllocsPerRun(2, func() {
+			c, err := New(space.Baseline(), workload.MustNewGenerator(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Run(n, 8); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := allocs(8192), allocs(65536)
+	if long > short {
+		t.Errorf("Run over 65536 instructions allocates %.0f, over 8192 %.0f; want no more", long, short)
+	}
+}
+
 func TestIntervalStringAndRates(t *testing.T) {
 	iv := Interval{Instrs: 100, Cycles: 200}
 	if iv.CPI() != 2 || iv.IPC() != 0.5 {

@@ -83,7 +83,8 @@ type Result struct {
 	// Evaluated is every candidate in design order.
 	Evaluated []Candidate
 	// Frontier is the Pareto-optimal subset (no candidate dominates
-	// another on all objectives), sorted by the first objective.
+	// another on all objectives), in the order FrontierCollector.Frontier
+	// reports: by scores, exact ties by configuration.
 	Frontier []Candidate
 }
 
@@ -149,15 +150,7 @@ func SweepContext(ctx context.Context, designs []space.Config, models []core.Dyn
 		return nil, err
 	}
 	res.Frontier = ParetoFrontier(res.Evaluated)
-	slices.SortStableFunc(res.Frontier, func(a, b Candidate) int {
-		if a.Scores[0] < b.Scores[0] {
-			return -1
-		}
-		if b.Scores[0] < a.Scores[0] {
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(res.Frontier, frontierCmp)
 	return res, nil
 }
 

@@ -252,7 +252,7 @@ func sortedScoreSet(cands []Candidate) [][]float64 {
 	for i, c := range cands {
 		out[i] = c.Scores
 	}
-	sort.SliceStable(out, func(a, b int) bool { return lexLess(out[a], out[b]) })
+	sort.SliceStable(out, func(a, b int) bool { return lexCmp(out[a], out[b]) < 0 })
 	return out
 }
 

@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -92,6 +93,55 @@ func TestFrontierMergeEqualsSingleProcess(t *testing.T) {
 					seed, n, k, nObj, i, gotKeys[i], wantKeys[i])
 			}
 		}
+	}
+}
+
+// TestFrontierOrderIndependentOfArrival: the same candidates collected in
+// any order, directly or through Merge of shuffled shards, yield an
+// identical Frontier — exactly tied candidates included — so a parallel
+// sweep's answer does not depend on chunk arrival order.
+func TestFrontierOrderIndependentOfArrival(t *testing.T) {
+	ties := 0
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cands := randomMergeCandidates(rng, 50+rng.Intn(300), 1+rng.Intn(3))
+
+		ref := NewFrontierCollector()
+		for i, c := range cands {
+			ref.Collect(i, c)
+		}
+		want := ref.Frontier()
+		for i := 1; i < len(want); i++ {
+			if lexCmp(want[i-1].Scores, want[i].Scores) == 0 {
+				ties++
+			}
+		}
+
+		for trial := 0; trial < 5; trial++ {
+			perm := rng.Perm(len(cands))
+			direct := NewFrontierCollector()
+			for _, i := range perm {
+				direct.Collect(i, cands[i])
+			}
+			merged := NewFrontierCollector()
+			parts := shardSplit(len(perm), 1+rng.Intn(6))
+			rng.Shuffle(len(parts), func(a, b int) { parts[a], parts[b] = parts[b], parts[a] })
+			for _, s := range parts {
+				part := NewFrontierCollector()
+				for _, i := range perm[s[0]:s[1]] {
+					part.Collect(i, cands[i])
+				}
+				merged.Merge(part)
+			}
+			for name, got := range map[string][]Candidate{"shuffled": direct.Frontier(), "merged": merged.Frontier()} {
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d trial %d: %s frontier order differs from in-order collection", seed, trial, name)
+				}
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no exactly tied frontier candidates; the test does not exercise tie order")
 	}
 }
 

@@ -1,8 +1,11 @@
 package explore
 
 import (
+	"cmp"
 	"math"
 	"slices"
+
+	"repro/internal/space"
 )
 
 // dominates reports whether a is at least as good as b everywhere and
@@ -39,7 +42,57 @@ func lexCmp(a, b []float64) int {
 	return 0
 }
 
-func lexLess(a, b []float64) bool { return lexCmp(a, b) < 0 }
+// frontierCmp is the order every reported frontier takes: by scores
+// lexicographically, exact ties by configuration.
+func frontierCmp(a, b Candidate) int {
+	if c := lexCmp(a.Scores, b.Scores); c != 0 {
+		return c
+	}
+	return configCmp(&a.Config, &b.Config)
+}
+
+// configCmp orders configurations by every field in declaration order.
+func configCmp(a, b *space.Config) int {
+	return cmp.Or(
+		cmp.Compare(a.FetchWidth, b.FetchWidth),
+		cmp.Compare(a.ROBSize, b.ROBSize),
+		cmp.Compare(a.IQSize, b.IQSize),
+		cmp.Compare(a.LSQSize, b.LSQSize),
+		cmp.Compare(a.L2SizeKB, b.L2SizeKB),
+		cmp.Compare(a.L2Lat, b.L2Lat),
+		cmp.Compare(a.IL1SizeKB, b.IL1SizeKB),
+		cmp.Compare(a.DL1SizeKB, b.DL1SizeKB),
+		cmp.Compare(a.DL1Lat, b.DL1Lat),
+		cmp.Compare(a.ITLBEntries, b.ITLBEntries),
+		cmp.Compare(a.DTLBEntries, b.DTLBEntries),
+		cmp.Compare(a.TLBMissLat, b.TLBMissLat),
+		cmp.Compare(a.BPredEntries, b.BPredEntries),
+		cmp.Compare(a.GHistBits, b.GHistBits),
+		cmp.Compare(a.BTBEntries, b.BTBEntries),
+		cmp.Compare(a.RASEntries, b.RASEntries),
+		cmp.Compare(a.IntALU, b.IntALU),
+		cmp.Compare(a.IntMulDiv, b.IntMulDiv),
+		cmp.Compare(a.FPALU, b.FPALU),
+		cmp.Compare(a.FPMulDiv, b.FPMulDiv),
+		cmp.Compare(a.MemPorts, b.MemPorts),
+		cmp.Compare(a.MemLat, b.MemLat),
+		cmp.Compare(a.IL1Assoc, b.IL1Assoc),
+		cmp.Compare(a.IL1LineB, b.IL1LineB),
+		cmp.Compare(a.DL1Assoc, b.DL1Assoc),
+		cmp.Compare(a.DL1LineB, b.DL1LineB),
+		cmp.Compare(a.L2Assoc, b.L2Assoc),
+		cmp.Compare(a.L2LineB, b.L2LineB),
+		cmp.Compare(boolRank(a.DVM), boolRank(b.DVM)),
+		cmp.Compare(a.DVMThreshold, b.DVMThreshold),
+	)
+}
+
+func boolRank(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
 
 // lexKey2 is the flat sort key for two-objective frontiers.
 type lexKey2 struct {

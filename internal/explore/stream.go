@@ -1,6 +1,9 @@
 package explore
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // TopK is a streaming Collector that retains the k best feasible
 // candidates by one objective (lower is better), so constrained selection
@@ -236,14 +239,17 @@ func (f *FrontierCollector) Merge(o *FrontierCollector) {
 func (f *FrontierCollector) Seen() int { return f.seen }
 
 // Frontier returns the current non-dominated set sorted by the first
-// objective (ascending, ties by the second and so on). Scores are deep
-// copies: the collector recycles evicted members' buffers as collection
-// continues, so snapshots taken mid-sweep must not alias them.
+// objective (ascending, ties by the second and so on), with candidates
+// whose scores tie exactly ordered by configuration (frontierCmp): the
+// order depends only on the set, never on the order candidates arrived or
+// shards merged in. Scores are deep copies: the collector recycles evicted
+// members' buffers as collection continues, so snapshots taken mid-sweep
+// must not alias them.
 func (f *FrontierCollector) Frontier() []Candidate {
 	out := make([]Candidate, len(f.frontier))
 	for i, c := range f.frontier {
 		out[i] = Candidate{Config: c.Config, Scores: append([]float64(nil), c.Scores...)}
 	}
-	sort.SliceStable(out, func(a, b int) bool { return lexLess(out[a].Scores, out[b].Scores) })
+	slices.SortFunc(out, frontierCmp)
 	return out
 }

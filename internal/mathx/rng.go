@@ -81,20 +81,23 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Geometric returns a geometrically distributed non-negative integer with
-// success probability p in (0, 1].
-func (r *RNG) Geometric(p float64) int {
-	if p >= 1 {
+// GeometricLn returns a geometrically distributed non-negative integer
+// (the failures before the first success) with success probability p in
+// (0, 1], given lnq = math.Log(1-p): a caller drawing repeatedly with one p
+// computes the logarithm once. lnq = -Inf (p = 1) returns 0 without
+// drawing; otherwise lnq must be negative.
+func (r *RNG) GeometricLn(lnq float64) int {
+	if math.IsInf(lnq, -1) {
 		return 0
 	}
-	if p <= 0 {
-		panic("mathx: Geometric with non-positive p")
+	if !(lnq < 0) {
+		panic("mathx: GeometricLn with non-negative lnq")
 	}
 	u := r.Float64()
 	for u == 0 {
 		u = r.Float64()
 	}
-	return int(math.Log(u) / math.Log(1-p))
+	return int(math.Log(u) / lnq)
 }
 
 // Pick returns an index in [0, len(weights)) chosen with probability

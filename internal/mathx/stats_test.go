@@ -196,12 +196,35 @@ func TestRNGGeometricMean(t *testing.T) {
 	var sum float64
 	n := 20000
 	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(0.25))
+		sum += float64(r.GeometricLn(math.Log(0.75)))
 	}
 	mean := sum / float64(n)
 	// Mean of geometric (number of failures) = (1-p)/p = 3.
 	if math.Abs(mean-3) > 0.15 {
-		t.Errorf("Geometric mean = %v, want ≈3", mean)
+		t.Errorf("GeometricLn mean = %v, want ≈3", mean)
+	}
+}
+
+// GeometricLn draws exactly the stream of the inverse-CDF formula
+// int(ln u / ln(1-p)) the workload generator's dependence distances were
+// defined by, and p = 1 consumes nothing.
+func TestRNGGeometricLnMatchesFormula(t *testing.T) {
+	for _, p := range []float64{1.0 / 7, 1.0 / 4, 0.5, 0.9} {
+		r, twin := NewRNG(5), NewRNG(5)
+		lnq := math.Log(1 - p)
+		for i := 0; i < 5000; i++ {
+			u := twin.Float64()
+			for u == 0 {
+				u = twin.Float64()
+			}
+			if got, want := r.GeometricLn(lnq), int(math.Log(u)/math.Log(1-p)); got != want {
+				t.Fatalf("p=%v draw %d: GeometricLn = %d, formula %d", p, i, got, want)
+			}
+		}
+	}
+	r, twin := NewRNG(9), NewRNG(9)
+	if r.GeometricLn(math.Log(0)) != 0 || r.Uint64() != twin.Uint64() {
+		t.Error("p = 1 must return 0 without drawing")
 	}
 }
 

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/mathx"
 )
@@ -37,6 +38,10 @@ type phaseState struct {
 	chaseBase  uint64
 	chasePos   uint64
 	branchSlot uint64
+
+	// lnDepQ is math.Log(1-1/DepMean), the phase's dependence-distance
+	// draw parameter, computed once per Reset (see mathx.GeometricLn).
+	lnDepQ float64
 
 	// Loop-body walk over the code footprint: execution sits inside one
 	// body for a few iterations, then jumps to another (biased towards a
@@ -118,6 +123,7 @@ func (g *generator) Reset() {
 		ps.codeBase = regionCode + pi
 		ps.wsBase = regionWS + pi
 		ps.chaseBase = regionChase + pi
+		ps.lnDepQ = math.Log(1 - 1/g.prof.Phases[i].DepMean)
 		for s := 0; s < numStreams; s++ {
 			ps.streamBase[s] = regionStream + pi + uint64(s)*streamSpacing
 		}
@@ -222,9 +228,9 @@ func (g *generator) Next(inst *Inst) {
 		g.fillBranch(inst, ph, ps)
 	}
 	if inst.Dep1 == 0 {
-		inst.Dep1 = g.depDistance(ph)
+		inst.Dep1 = g.depDistance(ps)
 		if g.rng.Float64() < 0.6 {
-			inst.Dep2 = g.depDistance(ph)
+			inst.Dep2 = g.depDistance(ps)
 		}
 	}
 	g.idx++
@@ -249,10 +255,9 @@ func opForPC(ph *Phase, pc uint64) OpClass {
 	return OpIntALU
 }
 
-// depDistance draws a register dependence distance with mean ph.DepMean.
-func (g *generator) depDistance(ph *Phase) uint16 {
-	p := 1 / ph.DepMean
-	d := 1 + g.rng.Geometric(p)
+// depDistance draws a register dependence distance with mean DepMean.
+func (g *generator) depDistance(ps *phaseState) uint16 {
+	d := 1 + g.rng.GeometricLn(ps.lnDepQ)
 	if d > maxDepDistance {
 		d = maxDepDistance
 	}
