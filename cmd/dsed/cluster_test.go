@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/cluster"
 	"repro/internal/registry"
 	"repro/internal/wire"
 )
@@ -425,6 +426,70 @@ func TestElasticFleetSweep(t *testing.T) {
 		t.Error("the mid-sweep joiner served no shards")
 	}
 	sameFrontier(t, a.resp.Frontier, single.Frontier)
+}
+
+// TestSuspectPeerLeavesSchedulingFleet: a peer the owner's gossip table
+// marks suspect leaves the owner's scheduling fleet at the next
+// projection, with no lease to wait out; once it refutes the suspicion
+// through gossip it comes back as a fresh member with zeroed scheduling
+// stats.
+func TestSuspectPeerLeavesSchedulingFleet(t *testing.T) {
+	store := testServer(t).store
+	owner, ownerTS := startPeer(t, store, nil, testPeerOpts(16), nil)
+	other, _ := startPeer(t, store, nil, testPeerOpts(16), nil)
+	join(t, owner, other)
+	name := "http://" + other.self
+
+	// A fleet job gives the other peer scheduling history.
+	if status := jobResult(t, ownerTS, "/v1/pareto", paretoBody(), nil); status != http.StatusOK {
+		t.Fatalf("fleet pareto status %d", status)
+	}
+	row := func() (cluster.MemberStatus, bool) {
+		for _, m := range owner.coord.Members() {
+			if m.Name == name {
+				return m, true
+			}
+		}
+		return cluster.MemberStatus{}, false
+	}
+	if m, _ := row(); m.ShardsDone == 0 {
+		t.Fatalf("the other peer served no shards of the fleet job: %+v", m)
+	}
+
+	// A suspicion reaches the owner by gossip; the next projection drops
+	// the peer from scheduling while gossip still lists it.
+	var suspect wire.GossipEntry
+	for _, e := range owner.table.Snapshot() {
+		if e.Addr == other.self {
+			suspect = e
+		}
+	}
+	suspect.State = wire.GossipSuspect
+	owner.table.Merge([]wire.GossipEntry{suspect})
+	owner.syncGossipMembership()
+	if _, ok := row(); ok {
+		t.Fatalf("suspect peer still schedulable: %v", owner.coord.Workers())
+	}
+	for _, p := range peerHealth(t, ownerTS).Peers {
+		if p.Addr == other.self && (p.State != wire.GossipSuspect || p.Inflight != nil) {
+			t.Errorf("suspect peer's healthz row %+v, want a gossip-only suspect row", p)
+		}
+	}
+
+	// The peer hears the rumour in the next exchange and refutes it; the
+	// owner's projection readmits it with a fresh record.
+	owner.exchange(context.Background(), other.self)
+	if state := owner.table.State(other.self); state != wire.GossipAlive {
+		t.Fatalf("refuted peer is %q in the owner's table, want alive", state)
+	}
+	owner.syncGossipMembership()
+	m, ok := row()
+	if !ok {
+		t.Fatalf("refuted peer not back in the scheduling fleet: %v", owner.coord.Workers())
+	}
+	if m.ShardsDone != 0 || m.Inflight != 0 || m.EWMAPerDesignMS != 0 {
+		t.Errorf("rejoined peer kept its old scheduling stats: %+v", m)
+	}
 }
 
 // peerHealthz is the part of a peer's /v1/healthz the fleet tests read.

@@ -58,11 +58,6 @@ type peerOptions struct {
 	replicate     int
 }
 
-// missedRounds is how many gossip intervals a scheduling member may go
-// without a projection refresh before the coordinator's lease lapses:
-// tolerant of one lost round and one slow one.
-const missedRounds = 3
-
 // peerServer is the serving layer of peer mode. It shares the worker's
 // Server (registry, job table, telemetry) so local-scope shards and
 // fleet-scope jobs live in one job table behind one /v1 surface.
@@ -101,7 +96,6 @@ func newPeerServer(srv *Server, self string, peers []string, opts peerOptions, l
 	coord, err := cluster.New(nil, cluster.Options{
 		ShardSize:       opts.shardSize,
 		TargetShardTime: time.Duration(opts.targetShardMS) * time.Millisecond,
-		HeartbeatTTL:    missedRounds * interval,
 		Policy:          placement,
 		HedgeFactor:     opts.hedgeFactor,
 		Obs:             srv.tel.reg,
@@ -553,64 +547,52 @@ func (ps *peerServer) runFleet(job fleetJob, early []space.Config, resume *wire.
 			pub.Publish(u)
 			rep.push(p, pub.Seq())
 		}
+		final := api.Update{Designs: len(designs), Objectives: names}
 		if job.kind == api.JobSweep {
 			res, err := ps.coord.SweepResumeObserved(ctx, q, segments, seed, observer)
 			if err != nil {
 				return nil, api.Update{}, err
 			}
-			resp := wire.ClusterSweepResponse{
+			final.Evaluated, final.Feasible, final.Candidates = res.Evaluated, res.Feasible, wire.ToCandidates(res.Candidates)
+			final.Shards, final.Retries = res.Shards, res.Retries
+		} else {
+			res, err := ps.coord.ParetoResumeObserved(ctx, q, segments, seed, observer)
+			if err != nil {
+				return nil, api.Update{}, err
+			}
+			final.Evaluated, final.Candidates = res.Evaluated, wire.ToCandidates(res.Frontier)
+			final.Shards, final.Retries = res.Shards, res.Retries
+		}
+		final.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
+		final.Workers = len(ps.coord.Workers())
+		var resp any
+		if job.kind == api.JobSweep {
+			resp = wire.ClusterSweepResponse{
 				SweepResponse: wire.SweepResponse{
 					Benchmark:  job.benchmark(),
 					Objectives: names,
-					Evaluated:  res.Evaluated,
-					Feasible:   res.Feasible,
-					ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
-					Candidates: wire.ToCandidates(res.Candidates),
+					Evaluated:  final.Evaluated,
+					Feasible:   final.Feasible,
+					ElapsedMS:  final.ElapsedMS,
+					Candidates: final.Candidates,
 				},
-				Workers: len(ps.coord.Workers()),
-				Shards:  res.Shards,
-				Retries: res.Retries,
+				Workers: final.Workers,
+				Shards:  final.Shards,
+				Retries: final.Retries,
 			}
-			final := api.Update{
-				Evaluated:  res.Evaluated,
-				Designs:    len(designs),
-				Feasible:   res.Feasible,
-				Shards:     res.Shards,
-				Retries:    res.Retries,
-				Workers:    resp.Workers,
-				Objectives: names,
-				Candidates: resp.Candidates,
-				ElapsedMS:  resp.ElapsedMS,
+		} else {
+			resp = wire.ClusterParetoResponse{
+				ParetoResponse: wire.ParetoResponse{
+					Benchmark:  job.benchmark(),
+					Objectives: names,
+					Evaluated:  final.Evaluated,
+					ElapsedMS:  final.ElapsedMS,
+					Frontier:   final.Candidates,
+				},
+				Workers: final.Workers,
+				Shards:  final.Shards,
+				Retries: final.Retries,
 			}
-			jobSpan.End()
-			final.Spans = ps.tel().traces.Spans(jobSpan.Context().TraceID)
-			return resp, final, nil
-		}
-		res, err := ps.coord.ParetoResumeObserved(ctx, q, segments, seed, observer)
-		if err != nil {
-			return nil, api.Update{}, err
-		}
-		resp := wire.ClusterParetoResponse{
-			ParetoResponse: wire.ParetoResponse{
-				Benchmark:  job.benchmark(),
-				Objectives: names,
-				Evaluated:  res.Evaluated,
-				ElapsedMS:  float64(time.Since(start).Microseconds()) / 1000,
-				Frontier:   wire.ToCandidates(res.Frontier),
-			},
-			Workers: len(ps.coord.Workers()),
-			Shards:  res.Shards,
-			Retries: res.Retries,
-		}
-		final := api.Update{
-			Evaluated:  res.Evaluated,
-			Designs:    len(designs),
-			Shards:     res.Shards,
-			Retries:    res.Retries,
-			Workers:    resp.Workers,
-			Objectives: names,
-			Candidates: resp.Frontier,
-			ElapsedMS:  resp.ElapsedMS,
 		}
 		jobSpan.End()
 		final.Spans = ps.tel().traces.Spans(jobSpan.Context().TraceID)
@@ -668,19 +650,25 @@ func seedFromReplica(st *wire.ReplicateRequest) cluster.Seed {
 // candidates for frontiers (merging is index-independent there).
 func replicaSnapshot(p cluster.Progress) []wire.SnapshotCandidate {
 	if p.Indexed != nil {
-		out := make([]wire.SnapshotCandidate, len(p.Indexed))
-		for i, ic := range p.Indexed {
-			out[i] = wire.SnapshotCandidate{
-				Index:     ic.Index,
-				Candidate: wire.ToCandidates([]explore.Candidate{ic.Candidate})[0],
-			}
-		}
-		return out
+		return indexedSnapshot(p.Indexed)
 	}
 	cands := wire.ToCandidates(p.Candidates)
 	out := make([]wire.SnapshotCandidate, len(cands))
 	for i, c := range cands {
 		out[i] = wire.SnapshotCandidate{Index: -1, Candidate: c}
+	}
+	return out
+}
+
+// indexedSnapshot converts indexed candidates into the replicated
+// snapshot form, keeping their design indices.
+func indexedSnapshot(cands []cluster.IndexedCandidate) []wire.SnapshotCandidate {
+	out := make([]wire.SnapshotCandidate, len(cands))
+	for i, ic := range cands {
+		out[i] = wire.SnapshotCandidate{
+			Index:     ic.Index,
+			Candidate: wire.ToCandidates([]explore.Candidate{ic.Candidate})[0],
+		}
 	}
 	return out
 }
@@ -726,42 +714,25 @@ func (ps *peerServer) newReplicator(ctx context.Context, jobID string, job fleet
 func (r *replicator) push(p cluster.Progress, seq int) {
 	r.mu.Lock()
 	r.ledger = wire.AddRange(r.ledger, wire.ShardRange{Start: p.ShardStart, Count: p.ShardLen})
-	req := wire.ReplicateRequest{
-		JobID:     r.jobID,
-		Kind:      r.job.replicaKind(),
-		Owner:     r.ps.self,
-		Benchmark: r.job.benchmark(),
-		Designs:   r.designs,
-		Seq:       seq,
-		Sweep:     r.job.sweep,
-		Pareto:    r.job.pareto,
-		Evaluated: p.Evaluated,
-		Feasible:  p.Feasible,
-		Shards:    p.Shards,
-		Snapshot:  replicaSnapshot(p),
-		Ledger:    append([]wire.ShardRange(nil), r.ledger...),
-	}
-	r.latest = &req
+	r.latest = r.request(seq, p.Evaluated, p.Feasible, p.Shards, replicaSnapshot(p), r.ledger)
 	r.mu.Unlock()
-	select {
-	case r.notify <- struct{}{}:
-	default:
-	}
+	r.wake()
 }
 
 // pushSeed records the job's pre-first-merge state (the spec plus, on
 // an adopted job, the inherited snapshot and ledger) so the job
 // survives an owner that dies before any new shard lands.
 func (r *replicator) pushSeed(seed cluster.Seed, seq int) {
-	snapshot := make([]wire.SnapshotCandidate, len(seed.Candidates))
-	for i, ic := range seed.Candidates {
-		snapshot[i] = wire.SnapshotCandidate{
-			Index:     ic.Index,
-			Candidate: wire.ToCandidates([]explore.Candidate{ic.Candidate})[0],
-		}
-	}
 	r.mu.Lock()
-	req := wire.ReplicateRequest{
+	r.latest = r.request(seq, seed.Evaluated, seed.Feasible, seed.Shards, indexedSnapshot(seed.Candidates), r.ledger)
+	r.mu.Unlock()
+	r.wake()
+}
+
+// request builds one replication payload: the job's spec plus the given
+// cumulative counters, snapshot and (copied) shard ledger.
+func (r *replicator) request(seq, evaluated, feasible, shards int, snapshot []wire.SnapshotCandidate, ledger []wire.ShardRange) *wire.ReplicateRequest {
+	return &wire.ReplicateRequest{
 		JobID:     r.jobID,
 		Kind:      r.job.replicaKind(),
 		Owner:     r.ps.self,
@@ -770,14 +741,16 @@ func (r *replicator) pushSeed(seed cluster.Seed, seq int) {
 		Seq:       seq,
 		Sweep:     r.job.sweep,
 		Pareto:    r.job.pareto,
-		Evaluated: seed.Evaluated,
-		Feasible:  seed.Feasible,
-		Shards:    seed.Shards,
+		Evaluated: evaluated,
+		Feasible:  feasible,
+		Shards:    shards,
 		Snapshot:  snapshot,
-		Ledger:    append([]wire.ShardRange(nil), r.ledger...),
+		Ledger:    append([]wire.ShardRange(nil), ledger...),
 	}
-	r.latest = &req
-	r.mu.Unlock()
+}
+
+// wake nudges the sender goroutine without blocking.
+func (r *replicator) wake() {
 	select {
 	case r.notify <- struct{}{}:
 	default:
@@ -949,38 +922,24 @@ func (ps *peerServer) exchange(ctx context.Context, target string) {
 	ps.table.NoteRound(true)
 }
 
-// syncGossipMembership projects the gossip view onto the coordinator's
-// member table — the one sanctioned seam between the two planes (the
-// memberseam lint rule flags Join/Heartbeat/Leave anywhere else in peer
-// code). Alive peers, self included, become schedulable members with
-// their gossiped inventory; anything suspect or dead leaves the
-// scheduling fleet immediately, even though adoption waits for the
+// syncGossipMembership hands the gossip view's alive set, self
+// included, to the coordinator as its whole scheduling fleet, each
+// member with its gossiped inventory. Anything suspect or dead leaves
+// the scheduling fleet at once, even though adoption waits for the
 // stronger dead verdict.
 func (ps *peerServer) syncGossipMembership() {
-	known := make(map[string]bool)
-	for _, m := range ps.coord.Members() {
-		known[m.Name] = true
+	alive := ps.table.Alive()
+	members := make([]cluster.MemberInfo, len(alive))
+	for i, e := range alive {
+		members[i] = cluster.MemberInfo{
+			Transport:   cluster.NewHTTP(e.Addr, nil),
+			Capacity:    e.Capacity,
+			Benchmarks:  e.Benchmarks,
+			QueueDepths: e.QueueDepths,
+		}
 	}
-	for _, e := range ps.table.Snapshot() {
-		name := "http://" + e.Addr
-		info := cluster.MemberInfo{Capacity: e.Capacity, Benchmarks: e.Benchmarks, QueueDepths: e.QueueDepths}
-		if e.State == wire.GossipAlive {
-			if known[name] {
-				if err := ps.coord.Heartbeat(name, info); err != nil {
-					ps.logf("membership: heartbeat %s: %v", name, err)
-				}
-				continue
-			}
-			if _, err := ps.coord.Join(cluster.NewHTTP(e.Addr, nil), info); err != nil {
-				ps.logf("membership: join %s: %v", name, err)
-				continue
-			}
-			ps.logf("membership: peer %s joined the scheduling fleet", e.Addr)
-			continue
-		}
-		if known[name] && ps.coord.Leave(name) {
-			ps.logf("membership: peer %s left the scheduling fleet (%s)", e.Addr, e.State)
-		}
+	if err := ps.coord.SetMembers(members); err != nil {
+		ps.logf("membership: %v", err)
 	}
 }
 

@@ -207,11 +207,14 @@
 // /v1/gossip. Merge order is (incarnation, state badness, beat), so a
 // false suspicion loses to the accused peer's next self-refutation
 // (which bumps its own incarnation), and a death verdict sticks. A peer
-// unseen for two intervals turns suspect, for three turns dead; the
-// table projects onto each peer's local scheduling view through one
-// seam, so the scheduler and the gossip layer cannot disagree about who
-// is dispatchable. There is no leader, no quorum, no election — any
-// subset of live peers keeps accepting and finishing work.
+// unseen for two intervals turns suspect, for three turns dead. After
+// every round the peer hands its table's alive set, whole, to its
+// coordinator (cluster.Coordinator.SetMembers), so the scheduler and the
+// gossip layer cannot disagree about who is dispatchable: a suspect or
+// dead peer leaves the scheduling fleet on the round gossip stops
+// listing it alive, with no second lease to wait out. There is no
+// leader, no quorum, no election — any subset of live peers keeps
+// accepting and finishing work.
 //
 // Any peer accepts POST /v1/sweeps (and /v1/pareto, /v1/warm) and
 // coordinates that job over the fleet; shard dispatches are stamped
@@ -259,10 +262,11 @@
 // coordinating peer's per-design latency EWMA — and differs only in
 // what it optimises:
 //
-//   - affinity (default): model-inventory first, then the benchmark's
-//     consistent-hash home replicas, then the rest of the ring, always
-//     under capacity, dealt round-robin. Maximises model-cache hits — a
-//     warmed benchmark never trains on demand mid-sweep. Failure mode:
+//   - affinity (default): model-inventory first, then every other
+//     worker in consistent-hash ring order from the benchmark's home,
+//     always under capacity, dealt round-robin. Maximises model-cache
+//     hits — a warmed benchmark never trains on demand mid-sweep (a
+//     fleet warm places it on every peer). Failure mode:
 //     it is queue-blind, so a slow worker that holds the models keeps
 //     receiving shards until its capacity slots fill.
 //   - least-loaded: ascending (inflight + advertised queue depth across
@@ -327,7 +331,7 @@
 // (dsed_cluster_worker_failures_total / _rejections_total /
 // _busy_total — the same numbers /v1/healthz reports, from the same
 // counters), shard retries and membership churn
-// (dsed_cluster_membership_events_total{event=join|rejoin|leave|evict}),
+// (dsed_cluster_membership_events_total{event=join|leave}),
 // registry training/load/warm timings and cache hit ratios
 // (dsed_registry_train_ms{benchmark}, dsed_registry_cache_total{result}),
 // job lifecycle and stream health (dsed_jobs_running,
@@ -428,7 +432,7 @@
 //
 //	go run ./cmd/dsedlint ./...
 //
-// The suite enforces six invariants, each rooted in a past or plausible
+// The suite enforces five invariants, each rooted in a past or plausible
 // fleet failure mode:
 //
 //   - ctxflow: no context.Background()/context.TODO() outside package
@@ -454,13 +458,6 @@
 //     clock-typed field) must use it everywhere — a raw time.Now or
 //     time.Sleep beside a seam silently escapes the fake clock in tests
 //     and re-introduces flakes the seam existed to kill.
-//   - memberseam: cluster.Coordinator.Join/Heartbeat/Leave may be called
-//     only from membership seams (functions named like *gossip*,
-//     *membership*, *seam*). The scheduling member table is a projection
-//     of the gossip view; a stray Join in a request handler or a Leave in
-//     an error path is a resurrected single-coordinator assumption that
-//     forks the two views — the scheduler dispatches to peers gossip has declared
-//     dead, or never learns about ones it resurrected.
 //
 // False positives are suppressed inline, never silently: a
 // //dsedlint:ignore <analyzer> <reason> directive on (or immediately

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -422,8 +423,8 @@ func TestCoordinatorCancellation(t *testing.T) {
 	}
 }
 
-// TestCoordinatorWarmPlacement: Warm sends each benchmark to its ring
-// replicas only, and the same benchmark always lands on the same workers.
+// TestCoordinatorWarmPlacement: Warm sends every benchmark to every
+// member, once each.
 func TestCoordinatorWarmPlacement(t *testing.T) {
 	var calls [3]atomic.Int64
 	warmed := make([]chan []string, 3)
@@ -439,24 +440,26 @@ func TestCoordinatorWarmPlacement(t *testing.T) {
 		}
 		fleet[i] = l
 	}
-	coord := newTestCoordinator(t, fleet, Options{Replicas: 2})
+	coord := newTestCoordinator(t, fleet, Options{})
 	benchmarks := []string{"gcc", "mcf", "twolf", "gap", "art", "ammp"}
 	res := coord.Warm(context.Background(), benchmarks)
 	if len(res.Errors) != 0 {
 		t.Fatal(res.Errors)
 	}
-	if res.Trainings != 2*len(benchmarks) {
-		t.Errorf("warm reported %d trainings, want %d (fleet-wide sum)", res.Trainings, 2*len(benchmarks))
+	if res.Workers != len(fleet) || res.Trainings != len(fleet)*len(benchmarks) {
+		t.Errorf("warm reported %d workers and %d trainings, want %d and %d (fleet-wide sum)",
+			res.Workers, res.Trainings, len(fleet), len(fleet)*len(benchmarks))
 	}
-	total := 0
 	for i := range warmed {
+		if n := calls[i].Load(); n != 1 {
+			t.Errorf("w%d was warmed %d times, want once", i, n)
+		}
 		close(warmed[i])
 		for list := range warmed[i] {
-			total += len(list)
+			if !reflect.DeepEqual(list, benchmarks) {
+				t.Errorf("w%d warmed %v, want every benchmark %v", i, list, benchmarks)
+			}
 		}
-	}
-	if total != 2*len(benchmarks) {
-		t.Fatalf("warm placed %d (benchmark, worker) pairs, want %d (2 replicas each)", total, 2*len(benchmarks))
 	}
 }
 
@@ -476,39 +479,9 @@ func (c *counting) Sweep(ctx context.Context, q Query, s Shard) (*Partial, error
 	return c.Transport.Sweep(ctx, q, s)
 }
 
-// TestReplicasBoundShardPlacement: with Replicas set, a healthy fleet
-// serves every shard from the benchmark's replica set — the same workers
-// Warm pre-places models on — so a warmed benchmark never trains on
-// demand mid-sweep.
-func TestReplicasBoundShardPlacement(t *testing.T) {
-	fleet := make([]Transport, 4)
-	counters := make([]*counting, 4)
-	for i := range fleet {
-		counters[i] = &counting{Transport: NewLocal(fmt.Sprintf("w%d", i), resolveFake)}
-		fleet[i] = counters[i]
-	}
-	coord := newTestCoordinator(t, fleet, Options{ShardSize: 16, Replicas: 2})
-
-	// Warm and sweep must agree on the home set.
-	homes := coord.ring.order("gcc")[:2]
-	if _, err := coord.Pareto(context.Background(), testQuery(), testDesigns(200)); err != nil {
-		t.Fatal(err)
-	}
-	homeSet := map[string]bool{homes[0]: true, homes[1]: true}
-	for i, c := range counters {
-		name := fmt.Sprintf("w%d", i)
-		if homeSet[name] && c.calls.Load() == 0 {
-			t.Errorf("home replica %s served no shards", name)
-		}
-		if !homeSet[name] && c.calls.Load() != 0 {
-			t.Errorf("non-replica %s served %d shards of a healthy sweep, want 0", name, c.calls.Load())
-		}
-	}
-}
-
 func TestNewRejectsBadFleets(t *testing.T) {
-	// An empty fleet is now legal: a coordinator can boot with no static
-	// workers and grow through Join. Sweeps against it fail cleanly.
+	// An empty fleet is legal: a coordinator can boot with no workers and
+	// take its fleet from SetMembers. Sweeps against it fail cleanly.
 	empty, err := New(nil, Options{})
 	if err != nil {
 		t.Fatalf("empty fleet rejected: %v", err)
@@ -519,5 +492,21 @@ func TestNewRejectsBadFleets(t *testing.T) {
 	dup := []Transport{NewLocal("same", resolveFake), NewLocal("same", resolveFake)}
 	if _, err := New(dup, Options{}); err == nil {
 		t.Error("duplicate worker names accepted")
+	}
+
+	// SetMembers refuses a duplicate or empty name and leaves the fleet
+	// as it was.
+	coord := newTestCoordinator(t, localFleet(2), Options{})
+	for name, members := range map[string][]MemberInfo{
+		"duplicate": {{Transport: NewLocal("local-0", resolveFake)}, {Transport: NewLocal("dup", resolveFake)}, {Transport: NewLocal("dup", resolveFake)}},
+		"empty":     {{Transport: NewLocal("", resolveFake)}},
+		"nil":       {{}},
+	} {
+		if err := coord.SetMembers(members); err == nil {
+			t.Errorf("%s member name accepted", name)
+		}
+		if got := coord.Workers(); !reflect.DeepEqual(got, []string{"local-0", "local-1"}) {
+			t.Errorf("a rejected %s SetMembers changed the fleet to %v", name, got)
+		}
 	}
 }

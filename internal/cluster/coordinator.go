@@ -12,13 +12,11 @@
 // The merged answer equals the single-process answer candidate-for-
 // candidate.
 //
-// The fleet is a live membership table, not a frozen list: workers join
-// through Join (in dsed, the peer's projection of its gossip view),
-// renew through Heartbeat, and are evicted when their lease lapses — see
-// membership.go.
-// The consistent-hash ring rebuilds incrementally on join and leave, so a
-// campaign keeps running while machines come and go, re-dispatching only
-// the shards orphaned by a departure.
+// The fleet is a live member table, not a frozen list: SetMembers
+// replaces it whole (in dsed, with each gossip round's alive set) — see
+// membership.go. The consistent-hash ring changes incrementally as
+// members come and go, so a campaign keeps running through churn,
+// re-dispatching only the shards orphaned by a departure.
 //
 // Placement is pluggable (policy.go): every shard is routed by a Policy
 // ranking a snapshot of the live fleet — benchmark-affinity ring routing
@@ -64,32 +62,6 @@ type Options struct {
 	// Parallelism bounds in-flight shards (default 2 per live worker at
 	// sweep start).
 	Parallelism int
-	// VirtualNodes is the consistent-hash ring's replication factor per
-	// worker (default 64).
-	VirtualNodes int
-	// Replicas is how many workers serve (and Warm pre-places) each
-	// benchmark, counted clockwise from its ring home. Ring-order
-	// dispatch prefers exactly this set — so a warmed benchmark never
-	// trains on demand mid-sweep — and spills past it only under load or
-	// failure. Default 0 means the whole fleet: maximum sweep
-	// throughput, with Warm placing models everywhere. Set it lower on
-	// large many-benchmark fleets to bound how many workers hold each
-	// benchmark's models.
-	Replicas int
-	// ShardTimeout bounds one shard attempt on one worker (default 5
-	// minutes — generous enough for a cold benchmark training on demand
-	// inside the request). A worker that accepts the connection but
-	// never answers counts as failed and the shard moves on, instead of
-	// hanging the whole sweep.
-	ShardTimeout time.Duration
-	// HeartbeatTTL is how long a dynamic member survives without a
-	// heartbeat before eviction (default 15s; static members never
-	// expire).
-	HeartbeatTTL time.Duration
-	// WorkerCapacity is the default concurrent-shard budget per worker
-	// before affinity scheduling spills to the ring; a worker's
-	// advertised capacity overrides it (default 4).
-	WorkerCapacity int
 	// Policy is the placement strategy ranking workers for each shard
 	// (see policy.go). Nil means the affinity policy — the fleet's
 	// historical behavior.
@@ -129,24 +101,18 @@ const maxShardSize = 4096
 // dominates and the scheduler would churn on noise.
 const minShardSize = 16
 
+// shardTimeout bounds one shard attempt on one worker: generous enough
+// for a cold benchmark training on demand inside the request. A worker
+// that accepts the connection but never answers counts as failed and
+// the shard moves on, instead of hanging the whole sweep.
+const shardTimeout = 5 * time.Minute
+
 func (o Options) withDefaults() Options {
 	if o.ShardSize <= 0 {
 		o.ShardSize = 2048
 	}
 	if o.ShardSize > maxShardSize {
 		o.ShardSize = maxShardSize
-	}
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = defaultVirtualNodes
-	}
-	if o.ShardTimeout <= 0 {
-		o.ShardTimeout = 5 * time.Minute
-	}
-	if o.HeartbeatTTL <= 0 {
-		o.HeartbeatTTL = 15 * time.Second
-	}
-	if o.WorkerCapacity <= 0 {
-		o.WorkerCapacity = 4
 	}
 	if o.Policy == nil {
 		o.Policy = affinityPolicy{}
@@ -163,8 +129,6 @@ type Coordinator struct {
 	policy  Policy
 	metrics *clusterMetrics
 	tracer  *obs.Tracer
-	// clock overrides time.Now in tests (nil in production).
-	clock func() time.Time
 
 	mu         sync.Mutex
 	members    map[string]*member
@@ -177,9 +141,9 @@ type Coordinator struct {
 	hedges     map[string]int
 }
 
-// New builds a coordinator over an initial static fleet (possibly empty:
-// a coordinator can boot with no workers and grow entirely through
-// Join). Static worker names must be unique: they are the ring's
+// New builds a coordinator over an initial fleet (possibly empty: a
+// coordinator can boot with no workers and take its fleet from
+// SetMembers later). Worker names must be unique: they are the ring's
 // placement keys.
 func New(workers []Transport, opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
@@ -189,30 +153,19 @@ func New(workers []Transport, opts Options) (*Coordinator, error) {
 		metrics:    newClusterMetrics(opts.Obs, opts.Policy.Name()),
 		tracer:     opts.Tracer,
 		members:    make(map[string]*member),
-		ring:       newRing(opts.VirtualNodes),
+		ring:       newRing(),
 		failures:   make(map[string]int),
 		rejections: make(map[string]int),
 		busy:       make(map[string]int),
 		hedges:     make(map[string]int),
 	}
-	now := c.now()
+	members := make([]MemberInfo, len(workers))
 	for i, w := range workers {
-		name := w.Name()
-		if name == "" || c.members[name] != nil {
-			return nil, fmt.Errorf("cluster: worker %d has empty or duplicate name %q", i, name)
-		}
-		c.members[name] = &member{
-			name:      name,
-			transport: w,
-			static:    true,
-			capacity:  opts.WorkerCapacity,
-			joined:    now,
-			lastSeen:  now,
-			inst:      c.metrics.worker(name),
-		}
-		c.ring.add(name)
+		members[i] = MemberInfo{Transport: w}
 	}
-	c.metrics.membersGauge.Set(float64(len(c.members)))
+	if err := c.SetMembers(members); err != nil {
+		return nil, err
+	}
 	return c, nil
 }
 
@@ -251,7 +204,7 @@ type Progress struct {
 	// Shards counts merged shards so far.
 	Shards int
 	// Workers is the live fleet size at this snapshot — it moves as
-	// members join and lapse mid-sweep.
+	// members join and leave mid-sweep.
 	Workers int
 	// Candidates is the merged partial frontier / top-K snapshot.
 	Candidates []explore.Candidate
@@ -423,10 +376,10 @@ const (
 // runShard drives one shard to completion: the assigned worker first,
 // then — on transport failure — whichever untried live worker the
 // scheduler prefers next, until one answers or no live worker is left to
-// try. Each attempt is bounded by ShardTimeout, so a wedged worker counts
+// try. Each attempt is bounded by shardTimeout, so a wedged worker counts
 // as failed instead of hanging the sweep. Claims travel as *member
-// pointers: a worker that is evicted and re-registers mid-attempt gets a
-// fresh record, and this shard's accounting settles on the detached one.
+// pointers: a worker that leaves and rejoins mid-attempt gets a fresh
+// record, and this shard's accounting settles on the detached one.
 //
 // With HedgeFactor set the driver also speculates against stragglers:
 // when the in-flight attempt outlives HedgeFactor × its expected
@@ -485,12 +438,12 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 
 	launch := func(m *member, hedge bool) {
 		tried[m.name] = true
-		attemptCtx, cancel := context.WithTimeout(ctx, c.opts.ShardTimeout)
+		attemptCtx, cancel := context.WithTimeout(ctx, shardTimeout)
 		cancels = append(cancels, cancel)
 		running++
 		if !hedge {
 			primary = m
-			primaryStart = c.now()
+			primaryStart = time.Now()
 		}
 		go func() {
 			// The dispatch span's context rides the transport as a
@@ -503,9 +456,9 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 			if hedge {
 				span.SetAttr("hedge", "true")
 			}
-			start := c.now()
+			start := time.Now()
 			p, err := call(m.transport, spanCtx, q, s)
-			elapsed := c.now().Sub(start)
+			elapsed := time.Since(start)
 			if err == nil && p.Evaluated != len(s.Designs) {
 				// A short count means the worker silently dropped designs;
 				// trust the fleet over the answer.
@@ -557,8 +510,8 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 				return err
 			}
 			if !c.isLive(m) {
-				// Evicted (or drained) between assignment and dispatch; not
-				// a worker fault — hand the shard to the scheduler's next
+				// Left the fleet between assignment and dispatch; not a
+				// worker fault — hand the shard to the scheduler's next
 				// pick.
 				c.release(m)
 				m = c.claimRetry(q.Benchmark, tried)
@@ -664,7 +617,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 				armHedge(c.opts.HedgeMinDelay)
 				break
 			}
-			if wait := d - c.now().Sub(primaryStart); wait > 0 {
+			if wait := d - time.Since(primaryStart); wait > 0 {
 				// The estimate moved since arming; re-check on schedule.
 				armHedge(wait)
 				break
@@ -860,58 +813,40 @@ type WarmResult struct {
 	Errors []error
 }
 
-// Warm pre-places models: each benchmark is trained (or warm-started) on
-// its Replicas home workers, concurrently per worker. Ring-order shard
-// dispatch prefers exactly the same replica set, so a following sweep's
-// shards land on workers that already hold the models. Like a sweep, a
-// warm degrades through worker loss: per-worker failures are reported in
-// the result, not allowed to void the placements that succeeded.
+// Warm pre-places models: every member trains (or warm-starts) every
+// benchmark, concurrently per worker, so a following sweep's shards land
+// on workers that already hold the models. Like a sweep, a warm degrades
+// through worker loss: per-worker failures are reported in the result,
+// not allowed to void the placements that succeeded.
 func (c *Coordinator) Warm(ctx context.Context, benchmarks []string) *WarmResult {
 	c.mu.Lock()
-	c.evictExpiredLocked(c.now())
-	per := make(map[string][]string)
-	transports := make(map[string]Transport)
-	for _, b := range benchmarks {
-		order := c.ring.order(b)
-		replicas := c.replicasLocked()
-		for r := 0; r < replicas && r < len(order); r++ {
-			name := order[r]
-			per[name] = append(per[name], b)
-			transports[name] = c.members[name].transport
-		}
+	transports := make(map[string]Transport, len(c.members))
+	for name, m := range c.members {
+		transports[name] = m.transport
 	}
 	c.mu.Unlock()
 	var (
 		wg      sync.WaitGroup
 		mu      sync.Mutex
-		res     = &WarmResult{Workers: len(per)}
+		res     = &WarmResult{Workers: len(transports)}
 		warmErr []error
 	)
-	for name, list := range per {
+	for name, t := range transports {
 		wg.Add(1)
-		go func(name string, t Transport, list []string) {
+		go func(name string, t Transport) {
 			defer wg.Done()
-			n, werr := t.Warm(ctx, list)
+			n, werr := t.Warm(ctx, benchmarks)
 			mu.Lock()
 			defer mu.Unlock()
 			res.Trainings += n
 			if werr != nil {
-				warmErr = append(warmErr, fmt.Errorf("cluster: warming %v on %s: %w", list, name, werr))
+				warmErr = append(warmErr, fmt.Errorf("cluster: warming %v on %s: %w", benchmarks, name, werr))
 			}
-		}(name, transports[name], list)
+		}(name, t)
 	}
 	wg.Wait()
 	res.Errors = warmErr
 	return res
-}
-
-// replicasLocked resolves the per-benchmark replica count against the
-// live fleet size.
-func (c *Coordinator) replicasLocked() int {
-	if c.opts.Replicas > 0 && c.opts.Replicas < len(c.members) {
-		return c.opts.Replicas
-	}
-	return len(c.members)
 }
 
 // WorkerHealth is one worker's live status plus its cumulative shard
@@ -931,7 +866,6 @@ type WorkerHealth struct {
 // Health probes every live member concurrently.
 func (c *Coordinator) Health(ctx context.Context) []WorkerHealth {
 	c.mu.Lock()
-	c.evictExpiredLocked(c.now())
 	names := make([]string, 0, len(c.members))
 	for name := range c.members {
 		names = append(names, name)

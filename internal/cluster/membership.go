@@ -1,61 +1,52 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"maps"
 	"sort"
-	"time"
 )
 
-// This file is the coordinator's membership plane: the live member table
-// behind dynamic fleets. Workers join (or renew) through Join, stay alive
-// through Heartbeat, drain through Leave, and are evicted when their
-// heartbeats stop. The hash ring rebuilds incrementally on every join and
-// leave, so fleet churn moves only the affected benchmarks' homes and an
-// in-flight sweep re-dispatches only the shards orphaned by a departure.
+// This file is the coordinator's membership plane: the scheduling member
+// table. It has one writer, SetMembers, which takes the whole fleet at
+// once — in dsed, each gossip round's alive set. The hash ring changes
+// incrementally (only joiners' and leavers' virtual nodes move), so fleet
+// churn moves only the affected benchmarks' homes and an in-flight sweep
+// re-dispatches only the shards orphaned by a departure.
 
-// ErrUnknownMember answers a heartbeat for a worker the coordinator does
-// not know (never registered, drained, or already evicted). A worker
-// receiving it must re-register — its state here is gone.
-var ErrUnknownMember = errors.New("cluster: unknown member (register first)")
+// defaultCapacity is the concurrent-shard budget of a member that
+// advertises none, before affinity scheduling spills past it.
+const defaultCapacity = 4
 
-// MemberInfo is what a worker advertises when joining and on every
-// heartbeat.
+// MemberInfo is one fleet member as SetMembers takes it: how to reach
+// it and what it advertises.
 type MemberInfo struct {
+	// Transport reaches the worker; its Name is the member's key. A
+	// member already in the fleet keeps the transport it joined with.
+	Transport Transport
 	// Capacity bounds how many shards the coordinator schedules on the
-	// worker at once before affinity spills to the ring (0 = the
-	// coordinator's default).
+	// worker at once before affinity spills past it (0 = default 4).
 	Capacity int
 	// Benchmarks is the worker's trained-model inventory: the benchmarks
 	// whose every served metric is already in its registry. The scheduler
 	// routes shards for these benchmarks to the worker first.
 	Benchmarks []string
 	// QueueDepths maps benchmark name to the worker's running job count
-	// for it — reported in /healthz today, the input for smarter spill
-	// decisions tomorrow.
+	// for it — the least-loaded and oversub policies' load signal.
 	QueueDepths map[string]int
 }
 
-// member is one fleet entry: its transport, liveness, advertised
-// inventory, and the scheduler's per-worker statistics. Shard claims
-// hold the *member pointer, not the name: a worker that is evicted and
-// re-registers mid-shard gets a fresh record, and the stale shard's
-// accounting lands harmlessly on the detached one instead of corrupting
-// the new record's inflight count.
+// member is one fleet entry: its transport, advertised inventory, and
+// the scheduler's per-worker statistics. Shard claims hold the *member
+// pointer, not the name: a worker that leaves and rejoins mid-shard gets
+// a fresh record, and the stale shard's accounting lands harmlessly on
+// the detached one instead of corrupting the new record's inflight count.
 type member struct {
 	name      string
 	transport Transport
-	// static members come from the configured worker list: they never
-	// heartbeat and are never evicted.
-	static   bool
-	capacity int
-	joined   time.Time
-	lastSeen time.Time
-	// benchmarks is the heartbeat-advertised trained inventory.
+	capacity  int
+	// benchmarks is the advertised trained inventory.
 	benchmarks map[string]bool
-	// queueDepths is the heartbeat-advertised per-benchmark running job
-	// count.
+	// queueDepths is the advertised per-benchmark running job count.
 	queueDepths map[string]int
 	// inflight counts shards currently dispatched to the worker.
 	inflight int
@@ -72,11 +63,7 @@ type member struct {
 // MemberStatus is one member's row in membership reports (/healthz).
 type MemberStatus struct {
 	Name     string
-	Static   bool
 	Capacity int
-	// SinceSeen is the age of the last join/heartbeat (0 for static
-	// members, which do not heartbeat).
-	SinceSeen time.Duration
 	// Benchmarks is the advertised trained inventory, sorted.
 	Benchmarks []string
 	// QueueDepths is the advertised per-benchmark running job count.
@@ -95,121 +82,62 @@ type MemberStatus struct {
 	Busy       int
 }
 
-// Join registers a worker (or renews one already present: a re-register
-// is a heartbeat that also carries the transport). New members are
-// inserted into the hash ring incrementally, so only ~1/N of benchmark
-// homes move and in-flight sweeps keep their surviving placements.
-// It reports whether the worker was new.
-func (c *Coordinator) Join(t Transport, info MemberInfo) (bool, error) {
-	name := t.Name()
-	if name == "" {
-		return false, fmt.Errorf("cluster: joining worker has an empty name")
+// SetMembers makes members the whole fleet. A member already present
+// keeps its record — inflight shards, latency EWMA and shard counts
+// survive — and has its capacity, inventory and queue depths refreshed;
+// a new name enters the ring with a fresh record; a name missing from
+// the list leaves the table and the ring, and its in-flight shards (if
+// they fail) re-dispatch to the survivors. An empty or duplicate name
+// is an error and leaves the fleet unchanged.
+func (c *Coordinator) SetMembers(members []MemberInfo) error {
+	names := make(map[string]bool, len(members))
+	for i, info := range members {
+		name := ""
+		if info.Transport != nil {
+			name = info.Transport.Name()
+		}
+		if name == "" || names[name] {
+			return fmt.Errorf("cluster: member %d has empty or duplicate name %q", i, name)
+		}
+		names[name] = true
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
-	if m, ok := c.members[name]; ok {
-		m.lastSeen = now
-		m.benchmarks = benchmarkSet(info.Benchmarks)
-		m.queueDepths = info.QueueDepths
+	for name := range c.members {
+		if !names[name] {
+			delete(c.members, name)
+			c.ring.remove(name)
+			c.metrics.event("leave")
+		}
+	}
+	for _, info := range members {
+		name := info.Transport.Name()
+		m, ok := c.members[name]
+		if !ok {
+			m = &member{name: name, transport: info.Transport, inst: c.metrics.worker(name)}
+			c.members[name] = m
+			c.ring.add(name)
+			c.metrics.event("join")
+		}
+		m.capacity = defaultCapacity
 		if info.Capacity > 0 {
 			m.capacity = info.Capacity
 		}
-		c.metrics.event("rejoin")
-		return false, nil
+		m.benchmarks = benchmarkSet(info.Benchmarks)
+		m.queueDepths = info.QueueDepths
 	}
-	c.members[name] = &member{
-		name:        name,
-		transport:   t,
-		capacity:    c.capacityFor(info.Capacity),
-		joined:      now,
-		lastSeen:    now,
-		benchmarks:  benchmarkSet(info.Benchmarks),
-		queueDepths: info.QueueDepths,
-		inst:        c.metrics.worker(name),
-	}
-	c.ring.add(name)
-	c.metrics.event("join")
 	c.metrics.membersGauge.Set(float64(len(c.members)))
-	return true, nil
-}
-
-// Heartbeat renews a member's lease and refreshes its advertised
-// inventory. Unknown members answer ErrUnknownMember: the worker must
-// re-register through Join.
-func (c *Coordinator) Heartbeat(name string, info MemberInfo) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.members[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownMember, name)
-	}
-	m.lastSeen = c.now()
-	m.benchmarks = benchmarkSet(info.Benchmarks)
-	m.queueDepths = info.QueueDepths
-	if info.Capacity > 0 {
-		m.capacity = info.Capacity
-	}
 	return nil
-}
-
-// Leave drains a worker immediately: it comes off the ring and the member
-// table, new shards stop routing to it, and its in-flight shards (if any
-// fail) re-dispatch to the survivors. It reports whether the worker was a
-// member. Static members can be drained too — that is the operator's
-// remove-from-fleet hook.
-func (c *Coordinator) Leave(name string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.members[name]; !ok {
-		return false
-	}
-	delete(c.members, name)
-	c.ring.remove(name)
-	c.metrics.event("leave")
-	c.metrics.membersGauge.Set(float64(len(c.members)))
-	return true
-}
-
-// evictExpiredLocked removes every dynamic member whose lease ran out.
-// Called with c.mu held on the scheduling and reporting paths, so a fleet
-// with no traffic still converges the next time anyone looks at it.
-func (c *Coordinator) evictExpiredLocked(now time.Time) {
-	if c.opts.HeartbeatTTL <= 0 {
-		return
-	}
-	for name, m := range c.members {
-		if m.static {
-			continue
-		}
-		if now.Sub(m.lastSeen) > c.opts.HeartbeatTTL {
-			delete(c.members, name)
-			c.ring.remove(name)
-			c.metrics.event("evict")
-		}
-	}
-	c.metrics.membersGauge.Set(float64(len(c.members)))
-}
-
-// EvictExpired sweeps expired leases now (the serving layer's periodic
-// reaper hook; the scheduler also evicts lazily on every dispatch).
-func (c *Coordinator) EvictExpired() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.evictExpiredLocked(c.now())
 }
 
 // Members reports the live fleet sorted by name.
 func (c *Coordinator) Members() []MemberStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	now := c.now()
-	c.evictExpiredLocked(now)
 	out := make([]MemberStatus, 0, len(c.members))
 	for name, m := range c.members {
-		st := MemberStatus{
+		out = append(out, MemberStatus{
 			Name:            name,
-			Static:          m.static,
 			Capacity:        m.capacity,
 			Benchmarks:      sortedBenchmarks(m.benchmarks),
 			QueueDepths:     copyDepths(m.queueDepths),
@@ -219,44 +147,22 @@ func (c *Coordinator) Members() []MemberStatus {
 			Failures:        c.failures[name],
 			Rejections:      c.rejections[name],
 			Busy:            c.busy[name],
-		}
-		if !m.static {
-			st.SinceSeen = now.Sub(m.lastSeen)
-		}
-		out = append(out, st)
+		})
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
 	return out
 }
 
-// Workers returns the live fleet's names, sorted — the dynamic successor
-// of the construction-order list, still stable for reports.
+// Workers returns the live fleet's names, sorted.
 func (c *Coordinator) Workers() []string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.evictExpiredLocked(c.now())
 	out := make([]string, 0, len(c.members))
 	for name := range c.members {
 		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
-}
-
-// capacityFor resolves an advertised capacity against the default.
-func (c *Coordinator) capacityFor(advertised int) int {
-	if advertised > 0 {
-		return advertised
-	}
-	return c.opts.WorkerCapacity
-}
-
-// now is the membership clock (injectable for deterministic lease tests).
-func (c *Coordinator) now() time.Time {
-	if c.clock != nil {
-		return c.clock()
-	}
-	return time.Now()
 }
 
 func benchmarkSet(list []string) map[string]bool {

@@ -2,115 +2,79 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"sync"
 	"testing"
 	"time"
 )
 
-// fakeClock drives the membership lease clock deterministically.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func (f *fakeClock) Now() time.Time {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.now
-}
-
-func (f *fakeClock) Advance(d time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.now = f.now.Add(d)
-}
-
-// TestMembershipLifecycle walks one worker through the membership plane:
-// join, renew, advertise, lease expiry, and the re-register protocol.
+// TestMembershipLifecycle walks one worker through the membership plane,
+// each step a whole-fleet SetMembers: join, refresh, leave and rejoin.
 func TestMembershipLifecycle(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(1000, 0)}
-	coord := newTestCoordinator(t, nil, Options{HeartbeatTTL: 10 * time.Second})
-	coord.clock = clk.Now
-
-	added, err := coord.Join(NewLocal("w0", resolveFake), MemberInfo{Capacity: 3, Benchmarks: []string{"gcc"}})
-	if err != nil || !added {
-		t.Fatalf("first join: added=%v err=%v, want true/nil", added, err)
-	}
-	if added, _ := coord.Join(NewLocal("w0", resolveFake), MemberInfo{}); added {
-		t.Error("re-join reported the worker as new")
+	coord := newTestCoordinator(t, nil, Options{})
+	w0 := NewLocal("w0", resolveFake)
+	if err := coord.SetMembers([]MemberInfo{{Transport: w0, Capacity: 3, Benchmarks: []string{"gcc"}}}); err != nil {
+		t.Fatal(err)
 	}
 	members := coord.Members()
-	if len(members) != 1 || members[0].Name != "w0" || members[0].Static {
+	if len(members) != 1 || members[0].Name != "w0" {
 		t.Fatalf("membership after join: %+v", members)
 	}
 	if members[0].Capacity != 3 {
 		t.Errorf("advertised capacity not recorded: %+v", members[0])
 	}
+	coord.mu.Lock()
+	first := coord.members["w0"]
+	coord.mu.Unlock()
 
-	// Heartbeats renew the lease and refresh the inventory.
-	clk.Advance(8 * time.Second)
-	if err := coord.Heartbeat("w0", MemberInfo{Benchmarks: []string{"gcc", "mcf"}}); err != nil {
+	// A refresh keeps the record and replaces the adverts; a member that
+	// advertises no capacity gets the default.
+	if err := coord.SetMembers([]MemberInfo{{Transport: w0, Benchmarks: []string{"gcc", "mcf"}}}); err != nil {
 		t.Fatal(err)
 	}
-	clk.Advance(8 * time.Second) // 16s since join, 8s since heartbeat
+	if !coord.isLive(first) {
+		t.Fatal("a refresh replaced the member record")
+	}
 	members = coord.Members()
-	if len(members) != 1 {
-		t.Fatal("heartbeat did not renew the lease")
-	}
 	if got := members[0].Benchmarks; len(got) != 2 || got[0] != "gcc" || got[1] != "mcf" {
-		t.Errorf("heartbeat inventory not recorded: %v", got)
+		t.Errorf("refreshed inventory not recorded: %v", got)
+	}
+	if members[0].Capacity != defaultCapacity {
+		t.Errorf("capacity %d without an advert, want the default %d", members[0].Capacity, defaultCapacity)
 	}
 
-	// A lapsed lease evicts; the next heartbeat demands a re-register.
-	clk.Advance(11 * time.Second)
-	if members = coord.Members(); len(members) != 0 {
-		t.Fatalf("expired member survived: %+v", members)
+	// A name missing from the list leaves; coming back is a fresh record.
+	if err := coord.SetMembers(nil); err != nil {
+		t.Fatal(err)
 	}
-	if err := coord.Heartbeat("w0", MemberInfo{}); !errors.Is(err, ErrUnknownMember) {
-		t.Fatalf("heartbeat after eviction: %v, want ErrUnknownMember", err)
+	if got := coord.Workers(); len(got) != 0 {
+		t.Fatalf("departed member survived: %v", got)
 	}
-	if added, _ := coord.Join(NewLocal("w0", resolveFake), MemberInfo{}); !added {
-		t.Error("re-register after eviction did not re-add the worker")
+	if err := coord.SetMembers([]MemberInfo{{Transport: w0}}); err != nil {
+		t.Fatal(err)
 	}
-
-	// Leave drains immediately; a second leave is a no-op.
-	if !coord.Leave("w0") {
-		t.Error("leave of a live member reported false")
+	if got := coord.Workers(); len(got) != 1 || got[0] != "w0" {
+		t.Fatalf("rejoin did not re-add the worker: %v", got)
 	}
-	if coord.Leave("w0") {
-		t.Error("leave of an absent member reported true")
-	}
-}
-
-// TestStaticMembersNeverExpire: the configured worker list is permanent —
-// no heartbeats, no eviction.
-func TestStaticMembersNeverExpire(t *testing.T) {
-	clk := &fakeClock{now: time.Unix(1000, 0)}
-	coord := newTestCoordinator(t, localFleet(2), Options{HeartbeatTTL: time.Second})
-	coord.clock = clk.Now
-	clk.Advance(time.Hour)
-	if got := coord.Workers(); len(got) != 2 {
-		t.Fatalf("static members evicted: %v", got)
+	if coord.isLive(first) {
+		t.Error("rejoin reused the departed member's record")
 	}
 }
 
 // TestAffinityRoutesToModelHolder is the acceptance-criterion affinity
 // proof: with an idle fleet, every shard of a benchmark trained only on
 // worker A is dispatched to A — the other workers see nothing — because
-// A's heartbeat advertises the trained models.
+// only A advertises the trained models.
 func TestAffinityRoutesToModelHolder(t *testing.T) {
 	holder := &counting{Transport: NewLocal("holder", resolveFake)}
 	idle1 := &counting{Transport: NewLocal("idle1", resolveFake)}
 	idle2 := &counting{Transport: NewLocal("idle2", resolveFake)}
-	coord := newTestCoordinator(t, nil, Options{ShardSize: 16, WorkerCapacity: 64})
-	for _, w := range []Transport{holder, idle1, idle2} {
-		if _, err := coord.Join(w, MemberInfo{}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	coord := newTestCoordinator(t, nil, Options{ShardSize: 16})
 	// Only the holder advertises gcc's trained models.
-	if err := coord.Heartbeat("holder", MemberInfo{Benchmarks: []string{"gcc"}}); err != nil {
+	if err := coord.SetMembers([]MemberInfo{
+		{Transport: holder, Capacity: 64, Benchmarks: []string{"gcc"}},
+		{Transport: idle1, Capacity: 64},
+		{Transport: idle2, Capacity: 64},
+	}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -140,12 +104,13 @@ func TestAffinityRoutesToModelHolder(t *testing.T) {
 	}
 }
 
-// TestRejoinKeepsAccountingClean: a worker evicted with a shard in
-// flight that re-registers under the same name must not have the stale
+// TestRejoinKeepsAccountingClean: a worker that leaves with a shard in
+// flight and rejoins under the same name must not have the stale
 // shard's completion booked against its fresh record.
 func TestRejoinKeepsAccountingClean(t *testing.T) {
 	coord := newTestCoordinator(t, nil, Options{ShardSize: 8})
-	if _, err := coord.Join(NewLocal("w", resolveFake), MemberInfo{}); err != nil {
+	w := []MemberInfo{{Transport: NewLocal("w", resolveFake)}}
+	if err := coord.SetMembers(w); err != nil {
 		t.Fatal(err)
 	}
 	cv := &carver{segments: []Segment{{Designs: testDesigns(8)}}}
@@ -153,10 +118,12 @@ func TestRejoinKeepsAccountingClean(t *testing.T) {
 	if !ok || old == nil || old.name != "w" {
 		t.Fatalf("assignment did not claim w: %+v", old)
 	}
-	// The worker is evicted (lease lapse or drain) and re-registers while
-	// the old shard is still in flight.
-	coord.Leave("w")
-	if _, err := coord.Join(NewLocal("w", resolveFake), MemberInfo{}); err != nil {
+	// The worker leaves the fleet and rejoins while the old shard is
+	// still in flight.
+	if err := coord.SetMembers(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.SetMembers(w); err != nil {
 		t.Fatal(err)
 	}
 	if coord.isLive(old) {
@@ -177,10 +144,10 @@ func TestRejoinKeepsAccountingClean(t *testing.T) {
 // its slots are claimed, the next shard spills to the ring.
 func TestAffinitySpillsOnlyUnderLoad(t *testing.T) {
 	coord := newTestCoordinator(t, nil, Options{ShardSize: 8})
-	if _, err := coord.Join(NewLocal("holder", resolveFake), MemberInfo{Capacity: 2, Benchmarks: []string{"gcc"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coord.Join(NewLocal("other", resolveFake), MemberInfo{Capacity: 2}); err != nil {
+	if err := coord.SetMembers([]MemberInfo{
+		{Transport: NewLocal("holder", resolveFake), Capacity: 2, Benchmarks: []string{"gcc"}},
+		{Transport: NewLocal("other", resolveFake), Capacity: 2},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	cv := &carver{segments: []Segment{{Designs: testDesigns(64)}}}
@@ -254,7 +221,7 @@ func TestJoinMidSweepTakesShards(t *testing.T) {
 	// With the original worker gated, the sweep is parked mid-flight.
 	// Join a second worker, then release the gate.
 	joiner := &counting{Transport: NewLocal("joiner", resolveFake)}
-	if _, err := coord.Join(joiner, MemberInfo{Capacity: 8}); err != nil {
+	if err := coord.SetMembers([]MemberInfo{{Transport: slow}, {Transport: joiner, Capacity: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	close(slow.release)
@@ -280,9 +247,8 @@ func TestJoinMidSweepTakesShards(t *testing.T) {
 	}
 }
 
-// TestDrainedWorkerGetsNothing: after Leave, a sweep routes no shard to
-// the drained worker and the answer is unchanged — the operator's
-// remove-from-fleet hook is safe mid-campaign.
+// TestDrainedWorkerGetsNothing: once SetMembers drops a worker, a sweep
+// routes no shard to it and the answer is unchanged.
 func TestDrainedWorkerGetsNothing(t *testing.T) {
 	designs := testDesigns(200)
 	want := singleProcessReference(t, designs)
@@ -290,8 +256,8 @@ func TestDrainedWorkerGetsNothing(t *testing.T) {
 	drained := &counting{Transport: NewLocal("drained", resolveFake)}
 	steady := NewLocal("steady", resolveFake)
 	coord := newTestCoordinator(t, []Transport{steady, drained}, Options{ShardSize: 16})
-	if !coord.Leave("drained") {
-		t.Fatal("drain refused")
+	if err := coord.SetMembers([]MemberInfo{{Transport: steady}}); err != nil {
+		t.Fatal(err)
 	}
 
 	got, err := coord.Pareto(context.Background(), testQuery(), designs)

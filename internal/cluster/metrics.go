@@ -32,8 +32,8 @@ func newClusterMetrics(reg *obs.Registry, policy string) *clusterMetrics {
 				"expected duration, won when the hedge's answer merged first, wasted otherwise.",
 			obs.Label{Key: "result", Value: result})
 	}
-	m.churn = make(map[string]*obs.Counter, 4)
-	for _, ev := range []string{"join", "rejoin", "leave", "evict"} {
+	m.churn = make(map[string]*obs.Counter, 2)
+	for _, ev := range []string{"join", "leave"} {
 		m.churn[ev] = reg.Counter("dsed_cluster_membership_events_total",
 			"Membership churn events, by kind.", obs.Label{Key: "event", Value: ev})
 	}
@@ -48,7 +48,7 @@ func (m *clusterMetrics) event(kind string) {
 // form of the /healthz fault taxonomy plus the shard latency signal
 // straggler hedging will feed on. They are created when the worker
 // enters the fleet, so every series exists (at zero) before its first
-// shard or fault, and they outlive eviction: the taxonomy counts the
+// shard or fault, and they outlive departure: the taxonomy counts the
 // coordinator's lifetime, exactly like the /healthz columns.
 type workerInstruments struct {
 	latency    *obs.Histogram

@@ -12,21 +12,19 @@ import (
 // strategies can be swapped per coordinator (-policy), conformance-
 // tested against each other, and raced in tools/schedsim.
 //
-// Liveness is not a policy concern: the coordinator evicts expired
-// members and filters already-tried workers before building the view, so
-// a policy cannot place on a dead or exhausted worker by construction.
+// Liveness is not a policy concern: the coordinator builds the view from
+// its current member table (SetMembers) minus the already-tried workers,
+// so a policy cannot place on a departed or exhausted worker by
+// construction.
 
 // WorkerView is one live worker as a placement policy sees it: the
 // coordinator's own dispatch state (Inflight, EWMAPerDesignMS) joined
-// with the worker's latest heartbeat adverts (Capacity, QueueDepth,
+// with the worker's latest gossiped adverts (Capacity, QueueDepth,
 // model inventory).
 type WorkerView struct {
 	Name string
-	// Home marks one of the benchmark's Replicas ring-home workers —
-	// where Warm pre-places models and ring-order dispatch lands first.
-	Home bool
-	// HasModels reports whether the worker's heartbeat advertises the
-	// benchmark's trained models (affinity's primary signal).
+	// HasModels reports whether the worker advertises the benchmark's
+	// trained models (affinity's primary signal).
 	HasModels bool
 	// Inflight is the coordinator's count of shards currently dispatched
 	// to the worker; Capacity is the worker's concurrent-shard budget.
@@ -34,8 +32,8 @@ type WorkerView struct {
 	Capacity int
 	// QueueDepth is the worker's advertised running-job count for this
 	// benchmark; QueueTotal sums its advertised depths across all
-	// benchmarks. Depths arrive in heartbeats, so they lag by up to one
-	// heartbeat interval — policies treat them as load trend, not truth.
+	// benchmarks. Depths arrive by gossip, so they lag by a round or
+	// more — policies treat them as load trend, not truth.
 	QueueDepth int
 	QueueTotal int
 	// EWMAPerDesignMS is the coordinator's per-design latency estimate
@@ -48,9 +46,8 @@ type WorkerView struct {
 type PlacementView struct {
 	Benchmark string
 	// Workers holds only live workers not already tried for this shard,
-	// in ring order (so Workers[i].Home ⇒ i is among the leading
-	// positions, and "clockwise from the benchmark's home" is the slice
-	// order).
+	// in ring order: "clockwise from the benchmark's home" is the slice
+	// order.
 	Workers []WorkerView
 	// Deal is a monotone dealing counter for round-robin rotation, so
 	// equally-ranked workers share load across consecutive decisions.
@@ -88,10 +85,9 @@ func PolicyByName(name string) (Policy, error) {
 //
 //  1. Workers advertising the benchmark's trained models, under
 //     capacity, dealt round-robin.
-//  2. The benchmark's ring-home replicas (where Warm pre-places models),
-//     under capacity, dealt round-robin.
-//  3. The rest of the ring clockwise, under capacity.
-//  4. A saturated fleet: least-inflight first — the sweep must progress
+//  2. Every other worker under capacity, in ring order from the
+//     benchmark's home, dealt round-robin.
+//  3. A saturated fleet: least-inflight first — the sweep must progress
 //     even with every slot taken.
 //
 // It maximises model-cache hits and keeps cold workers from training on
@@ -103,19 +99,16 @@ type affinityPolicy struct{}
 func (affinityPolicy) Name() string { return "affinity" }
 
 func (affinityPolicy) Rank(v PlacementView) []string {
-	var affine, home, rest []string
+	var affine, free []string
 	var saturated []WorkerView
 	for _, w := range v.Workers {
-		free := w.Inflight < w.Capacity
 		switch {
-		case free && w.HasModels:
-			affine = append(affine, w.Name)
-		case free && w.Home:
-			home = append(home, w.Name)
-		case free:
-			rest = append(rest, w.Name)
-		default:
+		case w.Inflight >= w.Capacity:
 			saturated = append(saturated, w)
+		case w.HasModels:
+			affine = append(affine, w.Name)
+		default:
+			free = append(free, w.Name)
 		}
 	}
 	sort.Strings(affine)
@@ -127,8 +120,7 @@ func (affinityPolicy) Rank(v PlacementView) []string {
 	})
 	out := make([]string, 0, len(v.Workers))
 	out = append(out, rotated(affine, v.Deal)...)
-	out = append(out, rotated(home, v.Deal)...)
-	out = append(out, rest...)
+	out = append(out, rotated(free, v.Deal)...)
 	for _, w := range saturated {
 		out = append(out, w.Name)
 	}
@@ -136,7 +128,7 @@ func (affinityPolicy) Rank(v PlacementView) []string {
 }
 
 // leastLoadedPolicy ranks by total observed load — coordinator-known
-// inflight shards plus the worker's heartbeat-advertised queue depths
+// inflight shards plus the worker's gossip-advertised queue depths
 // across all benchmarks — so a worker busy with *other* traffic (jobs
 // submitted directly to it, other coordinators) finally repels shards.
 // Under-capacity workers always outrank saturated ones; ties prefer

@@ -15,8 +15,8 @@ func conformanceViews() []PlacementView {
 		{
 			Benchmark: "gcc",
 			Workers: []WorkerView{
-				{Name: "w-a", Home: true, HasModels: true, Inflight: 1, Capacity: 4, QueueDepth: 2, QueueTotal: 3, EWMAPerDesignMS: 0.2},
-				{Name: "w-b", Home: true, Inflight: 0, Capacity: 4},
+				{Name: "w-a", HasModels: true, Inflight: 1, Capacity: 4, QueueDepth: 2, QueueTotal: 3, EWMAPerDesignMS: 0.2},
+				{Name: "w-b", Inflight: 0, Capacity: 4},
 				{Name: "w-c", Inflight: 3, Capacity: 4, QueueTotal: 1, EWMAPerDesignMS: 1.5},
 				{Name: "w-d", HasModels: true, Inflight: 4, Capacity: 4},
 			},
@@ -25,7 +25,7 @@ func conformanceViews() []PlacementView {
 		{
 			Benchmark: "mcf",
 			Workers: []WorkerView{
-				{Name: "w-a", Home: true, Inflight: 4, Capacity: 4},
+				{Name: "w-a", Inflight: 4, Capacity: 4},
 				{Name: "w-b", Inflight: 6, Capacity: 4, QueueTotal: 2},
 			},
 			Deal: 3,
@@ -33,7 +33,7 @@ func conformanceViews() []PlacementView {
 		{
 			Benchmark: "gcc",
 			Workers: []WorkerView{
-				{Name: "solo", Home: true, HasModels: true, Inflight: 0, Capacity: 1},
+				{Name: "solo", HasModels: true, Inflight: 0, Capacity: 1},
 			},
 			Deal: 7,
 		},
@@ -106,29 +106,24 @@ func TestPolicyByName(t *testing.T) {
 }
 
 // TestPoliciesNeverPlaceOnEvicted drives each policy through the
-// coordinator: a dynamic member whose lease lapsed must receive zero
-// shards, whatever the ranking strategy, and the sweep must still equal
-// the single-process answer.
+// coordinator: a member SetMembers dropped must receive zero shards,
+// whatever the ranking strategy, and the sweep must still equal the
+// single-process answer.
 func TestPoliciesNeverPlaceOnEvicted(t *testing.T) {
 	for _, p := range Policies() {
 		p := p
 		t.Run(p.Name(), func(t *testing.T) {
 			survivor := &counting{Transport: NewLocal("survivor", resolveFake)}
 			lapsed := &counting{Transport: NewLocal("lapsed", resolveFake)}
-			coord := newTestCoordinator(t, []Transport{survivor}, Options{
-				ShardSize:    64,
-				Policy:       p,
-				HeartbeatTTL: time.Second,
-			})
-			base := time.Unix(1000, 0)
-			now := base
-			coord.clock = func() time.Time { return now }
-			if _, err := coord.Join(lapsed, MemberInfo{Benchmarks: []string{"gcc"}}); err != nil {
+			coord := newTestCoordinator(t, []Transport{survivor}, Options{ShardSize: 64, Policy: p})
+			if err := coord.SetMembers([]MemberInfo{{Transport: survivor}, {Transport: lapsed, Benchmarks: []string{"gcc"}}}); err != nil {
 				t.Fatal(err)
 			}
-			// The lease lapses before the sweep starts: the first dispatch
-			// evicts the member, and no policy may resurrect it.
-			now = base.Add(5 * time.Second)
+			// The model holder leaves before the sweep starts, and no
+			// policy may resurrect it.
+			if err := coord.SetMembers([]MemberInfo{{Transport: survivor}}); err != nil {
+				t.Fatal(err)
+			}
 			designs := testDesigns(400)
 			res, err := coord.Pareto(context.Background(), testQuery(), designs)
 			if err != nil {
@@ -146,7 +141,7 @@ func TestPoliciesNeverPlaceOnEvicted(t *testing.T) {
 }
 
 // TestLeastLoadedFollowsQueueDepths: the least-loaded policy must
-// finally consume the heartbeat-advertised queue depths — a worker
+// finally consume the advertised queue depths — a worker
 // drowning in externally-submitted jobs repels shards even though the
 // coordinator itself has nothing in flight on it.
 func TestLeastLoadedFollowsQueueDepths(t *testing.T) {
@@ -157,12 +152,9 @@ func TestLeastLoadedFollowsQueueDepths(t *testing.T) {
 		Parallelism: 1,
 		Policy:      leastLoadedPolicy{},
 	})
-	if _, err := coord.Join(idle, MemberInfo{Benchmarks: []string{"gcc"}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coord.Join(drowning, MemberInfo{
-		Benchmarks:  []string{"gcc"},
-		QueueDepths: map[string]int{"gcc": 7, "mcf": 2},
+	if err := coord.SetMembers([]MemberInfo{
+		{Transport: idle, Benchmarks: []string{"gcc"}},
+		{Transport: drowning, Benchmarks: []string{"gcc"}, QueueDepths: map[string]int{"gcc": 7, "mcf": 2}},
 	}); err != nil {
 		t.Fatal(err)
 	}

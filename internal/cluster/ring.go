@@ -17,9 +17,8 @@ import (
 // only the departed worker's, so dynamic fleet membership never disturbs
 // the placement of benchmarks homed on the survivors.
 type ring struct {
-	points       []ringPoint // sorted by hash
-	workers      map[string]bool
-	virtualNodes int
+	points  []ringPoint // sorted by hash
+	workers map[string]bool
 }
 
 type ringPoint struct {
@@ -27,15 +26,13 @@ type ringPoint struct {
 	worker string
 }
 
-// defaultVirtualNodes balances placement within a few percent for small
-// fleets without making ring construction or lookup noticeable.
-const defaultVirtualNodes = 64
+// virtualNodes is each worker's point count on the ring: it balances
+// placement within a few percent for small fleets without making ring
+// construction or lookup noticeable.
+const virtualNodes = 64
 
-func newRing(virtualNodes int) *ring {
-	if virtualNodes <= 0 {
-		virtualNodes = defaultVirtualNodes
-	}
-	return &ring{workers: make(map[string]bool), virtualNodes: virtualNodes}
+func newRing() *ring {
+	return &ring{workers: make(map[string]bool)}
 }
 
 // add inserts one worker's virtual nodes; adding a present worker is a
@@ -46,7 +43,7 @@ func (r *ring) add(name string) {
 		return
 	}
 	r.workers[name] = true
-	for v := 0; v < r.virtualNodes; v++ {
+	for v := 0; v < virtualNodes; v++ {
 		r.points = append(r.points, ringPoint{hash: hashKey(fmt.Sprintf("%s#%d", name, v)), worker: name})
 	}
 	sort.Slice(r.points, func(a, b int) bool {

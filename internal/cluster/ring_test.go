@@ -7,7 +7,7 @@ import (
 )
 
 func ringOf(names ...string) *ring {
-	r := newRing(0)
+	r := newRing()
 	for _, n := range names {
 		r.add(n)
 	}

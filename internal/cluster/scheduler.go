@@ -48,13 +48,12 @@ func (cv *carver) take(n int) (Shard, bool) {
 // nextAssignment carves the next shard and claims a worker slot for it.
 // The shard is sized for the chosen worker's observed latency (adaptive
 // sizing) and the pick sees the fleet as it is right now — a worker that
-// joined a second ago is already schedulable, an evicted one already
+// joined a second ago is already schedulable, a departed one already
 // isn't. The claimed member is nil when no live worker exists (the shard
 // then fails with a diagnosable error instead of blocking forever).
 func (c *Coordinator) nextAssignment(cv *carver, benchmark string) (Shard, *member, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.evictExpiredLocked(c.now())
 	name := c.pickWorkerLocked(benchmark, nil)
 	s, ok := cv.take(c.shardSizeLocked(name))
 	if !ok {
@@ -72,7 +71,6 @@ func (c *Coordinator) nextAssignment(cv *carver, benchmark string) (Shard, *memb
 func (c *Coordinator) claimRetry(benchmark string, tried map[string]bool) *member {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.evictExpiredLocked(c.now())
 	m := c.members[c.pickWorkerLocked(benchmark, tried)]
 	if m != nil {
 		m.inflight++
@@ -83,7 +81,7 @@ func (c *Coordinator) claimRetry(benchmark string, tried map[string]bool) *membe
 // pickWorkerLocked routes one shard: it snapshots the live, untried
 // fleet into a PlacementView and takes the configured Policy's top
 // ranked worker. Liveness and tried-exclusion are enforced here, outside
-// the policy — a policy cannot place on an evicted or exhausted worker
+// the policy — a policy cannot place on a departed or exhausted worker
 // even if it misranks.
 func (c *Coordinator) pickWorkerLocked(benchmark string, tried map[string]bool) string {
 	v, ok := c.placementViewLocked(benchmark, tried)
@@ -101,20 +99,15 @@ func (c *Coordinator) pickWorkerLocked(benchmark string, tried map[string]bool) 
 
 // placementViewLocked builds the fleet snapshot a Policy ranks: live,
 // untried workers in consistent-hash ring order for the benchmark, each
-// annotated with dispatch state (inflight, EWMA) and heartbeat adverts
-// (capacity, model inventory, queue depths). The leading Replicas ring
-// positions are marked Home — the set Warm pre-places models on.
+// annotated with dispatch state (inflight, EWMA) and gossiped adverts
+// (capacity, model inventory, queue depths).
 func (c *Coordinator) placementViewLocked(benchmark string, tried map[string]bool) (PlacementView, bool) {
 	if len(c.members) == 0 {
 		return PlacementView{}, false
 	}
 	order := c.ring.order(benchmark)
-	replicas := c.replicasLocked()
-	if replicas > len(order) {
-		replicas = len(order)
-	}
 	v := PlacementView{Benchmark: benchmark, Workers: make([]WorkerView, 0, len(order)), Deal: c.nextDeal()}
-	for i, name := range order {
+	for _, name := range order {
 		if tried[name] {
 			continue
 		}
@@ -124,7 +117,6 @@ func (c *Coordinator) placementViewLocked(benchmark string, tried map[string]boo
 		}
 		w := WorkerView{
 			Name:            name,
-			Home:            i < replicas,
 			HasModels:       m.benchmarks[benchmark],
 			Inflight:        m.inflight,
 			Capacity:        m.capacity,

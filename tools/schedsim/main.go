@@ -30,6 +30,7 @@ import (
 	"os"
 	"reflect"
 	"sort"
+	"sync"
 	"text/tabwriter"
 	"time"
 
@@ -148,19 +149,25 @@ func runLeg(ctx context.Context, cfg config, p cluster.Policy, hedged bool, desi
 	if cfg.churn && cfg.fast > 1 {
 		// Mid-sweep churn: the last fast worker drains, and moments later
 		// a fresh one registers and starts taking shards.
+		members := &memberList{}
+		for _, t := range fleet {
+			members.list = append(members.list, cluster.MemberInfo{Transport: t})
+		}
 		go func() {
 			select {
 			case <-ctx.Done():
 				return
 			case <-time.After(cfg.churnAt):
-				//dsedlint:ignore memberseam simulated churn is this harness's purpose
-				coord.Leave(fmt.Sprintf("fast-%d", cfg.fast-1))
+				members.update(coord, func(list []cluster.MemberInfo) []cluster.MemberInfo {
+					return append(list[:cfg.fast-1], list[cfg.fast:]...)
+				})
 			}
 			select {
 			case <-ctx.Done():
 			case <-time.After(cfg.churnAt / 2):
-				//dsedlint:ignore memberseam simulated churn is this harness's purpose
-				_, _ = coord.Join(slowed("joiner-0", cfg.fastDelay), cluster.MemberInfo{Benchmarks: []string{"gcc"}})
+				members.update(coord, func(list []cluster.MemberInfo) []cluster.MemberInfo {
+					return append(list, cluster.MemberInfo{Transport: slowed("joiner-0", cfg.fastDelay), Benchmarks: []string{"gcc"}})
+				})
 			}
 		}()
 	}
@@ -180,6 +187,23 @@ func runLeg(ctx context.Context, cfg config, p cluster.Policy, hedged bool, desi
 		wasted:   wasted,
 		exact:    reflect.DeepEqual(keys(res.Frontier), want) && res.Evaluated == len(designs),
 	}, nil
+}
+
+// memberList is the simulated fleet as the coordinator is told it: each
+// churn event edits the list and hands the whole of it to SetMembers,
+// the way a gossip round does in dsed.
+type memberList struct {
+	mu   sync.Mutex
+	list []cluster.MemberInfo
+}
+
+func (l *memberList) update(coord *cluster.Coordinator, edit func([]cluster.MemberInfo) []cluster.MemberInfo) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.list = edit(l.list)
+	if err := coord.SetMembers(l.list); err != nil {
+		log.Printf("schedsim: churn: %v", err)
+	}
 }
 
 // slowed builds one fleet member: a Local transport over the shared
