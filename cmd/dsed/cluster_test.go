@@ -132,11 +132,11 @@ func (c *countingHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.next.ServeHTTP(w, r)
 }
 
-// testPeerOpts are the peer options the fleet tests boot with: the
-// default placement policy, no hedging, a long gossip interval (no
+// testPeerOpts are the peer options the fleet tests boot with: no
+// hedging, a long gossip interval (no
 // background loop runs in tests, so nothing ages anyway).
 func testPeerOpts(shardSize int) peerOptions {
-	return peerOptions{shardSize: shardSize, interval: time.Minute, policy: "affinity", replicate: 1}
+	return peerOptions{shardSize: shardSize, interval: time.Minute, replicate: 1}
 }
 
 // startPeer boots one symmetric peer over store on a real loopback
@@ -496,7 +496,6 @@ func TestSuspectPeerLeavesSchedulingFleet(t *testing.T) {
 type peerHealthz struct {
 	Status  string         `json:"status"`
 	Mode    string         `json:"mode"`
-	Policy  string         `json:"policy"`
 	Hedges  map[string]int `json:"hedges"`
 	Retries int            `json:"retries"`
 	Alive   int            `json:"alive_peers"`
@@ -565,8 +564,8 @@ func TestMembershipEndpoints(t *testing.T) {
 	// gossiped inventory and scheduling columns.
 	join(t, owner, other)
 	h := peerHealth(t, ownerTS)
-	if h.Mode != "peer" || h.Alive != 2 || len(h.Peers) != 2 || h.Policy != "affinity" {
-		t.Fatalf("healthz mode=%q alive=%d peers=%d policy=%q, want peer/2/2/affinity", h.Mode, h.Alive, len(h.Peers), h.Policy)
+	if h.Mode != "peer" || h.Alive != 2 || len(h.Peers) != 2 {
+		t.Fatalf("healthz mode=%q alive=%d peers=%d, want peer/2/2", h.Mode, h.Alive, len(h.Peers))
 	}
 	if _, ok := h.Hedges["won"]; !ok {
 		t.Errorf("healthz lacks hedge totals: %+v", h.Hedges)

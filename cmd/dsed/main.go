@@ -41,8 +41,9 @@
 // coordinator: membership converges by anti-entropy gossip (POST
 // /v1/gossip) over the -peers seed list; any peer accepts POST
 // /v1/sweeps or /v1/pareto and coordinates that job across the alive
-// fleet, partitioning it into shards placed by -policy (spilling under
-// load), hedging stragglers (-hedge-factor), retrying shards on peer
+// fleet, partitioning it into shards placed on the least-loaded peers
+// holding the benchmark's models (spilling to the rest only under load),
+// hedging stragglers (-hedge-factor), retrying shards on peer
 // failure, sizing shards adaptively toward -target-shard-ms, and
 // merging the partial answers (see internal/cluster) — a job's stream
 // publishes the merged partial after every shard. Each running job's
@@ -56,7 +57,7 @@
 // and runs on the receiving node's own models. pkg/dsedclient accepts a
 // comma-separated endpoint list and fails over between peers
 // transparently, streams included. A peer's /v1/healthz adds the
-// gossip view, the placement policy, hedge and retry totals, and each
+// gossip view, hedge and retry totals, and each
 // member's scheduling row (failures vs rejections vs busy verdicts,
 // in-flight shards, per-design latency EWMA).
 //
@@ -118,7 +119,6 @@ func main() {
 		debugAddr  = flag.String("debug-addr", "", "optional second listener serving net/http/pprof (e.g. localhost:6060); empty disables profiling")
 		peerList   = flag.String("peers", "", "comma-separated peer addresses (host:port); run as a symmetric peer: a full daemon that also coordinates fleet-scope jobs, with membership by gossip and job survival by replication")
 		replicate  = flag.Int("replicate", 1, "peer mode: push each running job's recoverable state to this many peers, any of which can adopt the job if this node dies")
-		policy     = flag.String("policy", "affinity", "shard placement policy (peer mode): affinity, least-loaded, best-fit, or oversub")
 		hedgeF     = flag.Float64("hedge-factor", 3, "straggler hedging (peer mode): re-dispatch a shard when its elapsed time exceeds this multiple of its expected duration; 0 disables hedging")
 		straggle   = flag.Duration("straggle-per-design", 0, "fault injection: sleep this long per evaluated design on sweep jobs, making this node a deliberate straggler for hedging tests; 0 disables")
 	)
@@ -239,7 +239,6 @@ func main() {
 			shardSize:     *shardSize,
 			targetShardMS: *targetMS,
 			interval:      *heartbeat,
-			policy:        *policy,
 			hedgeFactor:   *hedgeF,
 			replicate:     *replicate,
 		}, logger)

@@ -53,7 +53,6 @@ type peerOptions struct {
 	shardSize     int
 	targetShardMS int
 	interval      time.Duration
-	policy        string
 	hedgeFactor   float64
 	replicate     int
 }
@@ -89,14 +88,9 @@ func newPeerServer(srv *Server, self string, peers []string, opts peerOptions, l
 	if opts.replicate <= 0 {
 		opts.replicate = 1
 	}
-	placement, err := cluster.PolicyByName(opts.policy)
-	if err != nil {
-		return nil, err
-	}
 	coord, err := cluster.New(nil, cluster.Options{
 		ShardSize:       opts.shardSize,
 		TargetShardTime: time.Duration(opts.targetShardMS) * time.Millisecond,
-		Policy:          placement,
 		HedgeFactor:     opts.hedgeFactor,
 		Obs:             srv.tel.reg,
 		Tracer:          srv.tel.tracer,
@@ -182,7 +176,7 @@ func (ps *peerServer) Handler() http.Handler {
 // handleHealthz reports the single-daemon health fields plus the fleet:
 // one row per gossip member, joined with its scheduling row (fault
 // taxonomy, load, latency estimate) when it is in the coordinator's
-// member table, and the coordinator's policy, hedge and retry totals.
+// member table, and the coordinator's hedge and retry totals.
 func (ps *peerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if !api.RequireGet(w, r) {
 		return
@@ -239,11 +233,9 @@ func (ps *peerServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"alive_peers":        alive,
 		"replication_factor": ps.repFactor,
 		"replicated_jobs":    ps.replicas.size(),
-		// The placement policy this peer schedules its fleet jobs with
-		// (-policy) and its lifetime hedged-dispatch totals: issued
-		// speculative attempts, hedges whose answer merged first, hedges
-		// that bought nothing.
-		"policy": ps.coord.PolicyName(),
+		// This peer's lifetime hedged-dispatch totals: issued speculative
+		// attempts, hedges whose answer merged first, hedges that bought
+		// nothing.
 		"hedges": map[string]int{
 			"issued": issued,
 			"won":    won,

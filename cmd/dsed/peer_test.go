@@ -10,12 +10,15 @@ import (
 	"repro/internal/wire"
 )
 
-// testPeer wires a peer server around the shared test Server: enough
-// for routing and adoption-guard tests, with no gossip loop running.
+// testPeer wires a peer server around a fresh Server over the shared
+// test store: enough for routing and adoption-guard tests, with no
+// gossip loop running. The job table is the peer's own, so a job one
+// test adopts is not still there when the next run of it starts.
 func testPeer(t *testing.T, self string) *peerServer {
 	t.Helper()
-	ps, err := newPeerServer(testServer(t), self, nil, peerOptions{
-		policy: "affinity", interval: time.Second, replicate: 1,
+	srv := NewServer(t.Context(), testServer(t).store, 0, nil, nil)
+	ps, err := newPeerServer(srv, self, nil, peerOptions{
+		interval: time.Second, replicate: 1,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

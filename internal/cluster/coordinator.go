@@ -14,14 +14,14 @@
 //
 // The fleet is a live member table, not a frozen list: SetMembers
 // replaces it whole (in dsed, with each gossip round's alive set) — see
-// membership.go. The consistent-hash ring changes incrementally as
-// members come and go, so a campaign keeps running through churn,
-// re-dispatching only the shards orphaned by a departure.
+// membership.go. A campaign keeps running through churn, re-dispatching
+// only the shards orphaned by a departure.
 //
-// Placement is pluggable (policy.go): every shard is routed by a Policy
-// ranking a snapshot of the live fleet — benchmark-affinity ring routing
-// by default, with least-loaded (queue-depth driven), best-fit packing,
-// and oversubscription as alternatives. Shard sizes adapt per worker:
+// Placement is one rule over observed signals (scheduler.go): a shard
+// goes to a live worker with a free slot, preferring holders of the
+// benchmark's trained models and then the least load (in-flight shards
+// plus gossiped queue depths), so it spills past the holders only when
+// they are saturated. Shard sizes adapt per worker:
 // the coordinator tracks an EWMA of each worker's per-design latency and
 // carves subsequent shards toward a target shard duration, so fast
 // workers take big bites and slow ones small, without a fixed
@@ -59,13 +59,6 @@ type Options struct {
 	// latency, it takes about this long. Zero keeps fixed ShardSize
 	// shards.
 	TargetShardTime time.Duration
-	// Parallelism bounds in-flight shards (default 2 per live worker at
-	// sweep start).
-	Parallelism int
-	// Policy is the placement strategy ranking workers for each shard
-	// (see policy.go). Nil means the affinity policy — the fleet's
-	// historical behavior.
-	Policy Policy
 	// HedgeFactor enables straggler speculation: when a shard's elapsed
 	// time exceeds HedgeFactor × its expected duration (the worker's
 	// per-design EWMA — or, before it has one, the fleet median — times
@@ -73,13 +66,6 @@ type Options struct {
 	// first answer wins. Exactly one answer merges, so the duplicate
 	// never double-counts. Zero (the default) disables hedging.
 	HedgeFactor float64
-	// HedgeMinDelay floors the speculation trigger (default 25ms): a
-	// shard is never hedged sooner, however fast the fleet, so the
-	// cheapest shards don't double every dispatch. It is also the poll
-	// interval while no latency estimate exists anywhere in the fleet —
-	// a cold fleet, possibly training models on demand, must not
-	// hedge-storm its first shards.
-	HedgeMinDelay time.Duration
 	// Obs, when set, receives coordinator metrics: per-worker shard
 	// latency histograms and the three-column fault taxonomy, merge
 	// sizes, membership churn. Nil disables metric recording.
@@ -101,6 +87,18 @@ const maxShardSize = 4096
 // dominates and the scheduler would churn on noise.
 const minShardSize = 16
 
+// dispatchersPerWorker sizes the dispatcher pool: in-flight shards are
+// bounded by this many per live worker, re-evaluated as the fleet grows
+// mid-sweep.
+const dispatchersPerWorker = 2
+
+// hedgeMinDelay floors the speculation trigger: a shard is never hedged
+// sooner, however fast the fleet, so the cheapest shards don't double
+// every dispatch. It is also the poll interval while no latency estimate
+// exists anywhere in the fleet — a cold fleet, possibly training models
+// on demand, must not hedge-storm its first shards.
+const hedgeMinDelay = 25 * time.Millisecond
+
 // shardTimeout bounds one shard attempt on one worker: generous enough
 // for a cold benchmark training on demand inside the request. A worker
 // that accepts the connection but never answers counts as failed and
@@ -114,26 +112,17 @@ func (o Options) withDefaults() Options {
 	if o.ShardSize > maxShardSize {
 		o.ShardSize = maxShardSize
 	}
-	if o.Policy == nil {
-		o.Policy = affinityPolicy{}
-	}
-	if o.HedgeMinDelay <= 0 {
-		o.HedgeMinDelay = 25 * time.Millisecond
-	}
 	return o
 }
 
 // Coordinator partitions sweeps across a live worker fleet.
 type Coordinator struct {
 	opts    Options
-	policy  Policy
 	metrics *clusterMetrics
 	tracer  *obs.Tracer
 
 	mu         sync.Mutex
 	members    map[string]*member
-	ring       *ring
-	deal       int
 	retries    int
 	failures   map[string]int
 	rejections map[string]int
@@ -143,17 +132,15 @@ type Coordinator struct {
 
 // New builds a coordinator over an initial fleet (possibly empty: a
 // coordinator can boot with no workers and take its fleet from
-// SetMembers later). Worker names must be unique: they are the ring's
-// placement keys.
+// SetMembers later). Worker names must be unique: they key the member
+// table.
 func New(workers []Transport, opts Options) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	c := &Coordinator{
 		opts:       opts,
-		policy:     opts.Policy,
-		metrics:    newClusterMetrics(opts.Obs, opts.Policy.Name()),
+		metrics:    newClusterMetrics(opts.Obs),
 		tracer:     opts.Tracer,
 		members:    make(map[string]*member),
-		ring:       newRing(),
 		failures:   make(map[string]int),
 		rejections: make(map[string]int),
 		busy:       make(map[string]int),
@@ -287,6 +274,22 @@ func (c *Coordinator) run(ctx context.Context, q Query, segments []Segment,
 	runCtx, abort := context.WithCancelCause(ctx)
 	defer abort(nil)
 	var dispatch func()
+	// grow tops the dispatcher pool up to the live fleet's size. Each
+	// slot is reserved by compare-and-swap, so concurrent growers never
+	// overshoot: every dispatcher holds a shard claim, and an overshoot
+	// would claim slots beyond the per-worker bound.
+	grow := func() {
+		for want := int64(c.parallelism()); ; {
+			n := active.Load()
+			if n >= want {
+				return
+			}
+			if active.CompareAndSwap(n, n+1) {
+				wg.Add(1)
+				go dispatch()
+			}
+		}
+	}
 	dispatch = func() {
 		defer wg.Done()
 		defer active.Add(-1)
@@ -296,16 +299,9 @@ func (c *Coordinator) run(ctx context.Context, q Query, segments []Segment,
 				return
 			}
 			// Elastic pool: a fleet that grew mid-sweep deserves more
-			// in-flight shards. Spawning from inside a live dispatcher
-			// (before its own Done) keeps the WaitGroup sound; a slight
-			// overshoot under races only idles a goroutine.
-			if c.opts.Parallelism <= 0 {
-				for want := int64(c.parallelism()); active.Load() < want; {
-					active.Add(1)
-					wg.Add(1)
-					go dispatch()
-				}
-			}
+			// in-flight shards. Growing from inside a live dispatcher
+			// (before its own Done) keeps the WaitGroup sound.
+			grow()
 			shardCount.Add(1)
 			if err := c.runShard(runCtx, q, s, first, abort, &localRetries, call, merge); err != nil {
 				errMu.Lock()
@@ -314,11 +310,7 @@ func (c *Coordinator) run(ctx context.Context, q Query, segments []Segment,
 			}
 		}
 	}
-	for d := c.parallelism(); d > 0; d-- {
-		active.Add(1)
-		wg.Add(1)
-		go dispatch()
-	}
+	grow()
 	wg.Wait()
 	shards = int(shardCount.Load())
 	retries = int(localRetries.Load())
@@ -341,18 +333,10 @@ func (c *Coordinator) memberCount() int {
 	return len(c.members)
 }
 
-// parallelism resolves the dispatcher-pool size at sweep start.
+// parallelism sizes the dispatcher pool for the live fleet (at least
+// one dispatcher, so a fleetless sweep fails diagnosably).
 func (c *Coordinator) parallelism() int {
-	if c.opts.Parallelism > 0 {
-		return c.opts.Parallelism
-	}
-	c.mu.Lock()
-	live := len(c.members)
-	c.mu.Unlock()
-	if live == 0 {
-		return 1
-	}
-	return 2 * live
+	return max(1, dispatchersPerWorker*c.memberCount())
 }
 
 // attemptResult carries one dispatch attempt's outcome back to the
@@ -526,7 +510,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 				} else {
 					// No latency estimate anywhere yet: poll until one
 					// exists instead of hedging blind.
-					armHedge(c.opts.HedgeMinDelay)
+					armHedge(hedgeMinDelay)
 				}
 			}
 		}
@@ -614,7 +598,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 			d := c.hedgeDelay(primary, len(s.Designs))
 			if d <= 0 {
 				// Still unpriceable (cold fleet): keep polling.
-				armHedge(c.opts.HedgeMinDelay)
+				armHedge(hedgeMinDelay)
 				break
 			}
 			if wait := d - time.Since(primaryStart); wait > 0 {
@@ -625,7 +609,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 			h := c.claimRetry(q.Benchmark, tried)
 			if h == nil {
 				// Nobody to hedge onto right now; a joiner may yet appear.
-				armHedge(c.opts.HedgeMinDelay)
+				armHedge(hedgeMinDelay)
 				break
 			}
 			hedged = true
@@ -641,7 +625,7 @@ func (c *Coordinator) runShard(ctx context.Context, q Query, s Shard, first *mem
 
 // hedgeDelay prices the speculation trigger for one attempt: HedgeFactor
 // times the shard's expected duration — the worker's own per-design EWMA
-// or, before it has one, the fleet's median — floored at HedgeMinDelay.
+// or, before it has one, the fleet's median — floored at hedgeMinDelay.
 // Zero means "cannot price it yet": no latency observation exists
 // anywhere, so speculation waits rather than doubling a cold fleet's
 // first (possibly training-on-demand) shards.
@@ -656,8 +640,8 @@ func (c *Coordinator) hedgeDelay(m *member, designs int) time.Duration {
 		return 0
 	}
 	d := time.Duration(c.opts.HedgeFactor * per * float64(designs) * float64(time.Millisecond))
-	if d < c.opts.HedgeMinDelay {
-		d = c.opts.HedgeMinDelay
+	if d < hedgeMinDelay {
+		d = hedgeMinDelay
 	}
 	return d
 }
@@ -687,10 +671,6 @@ func (c *Coordinator) noteHedge(result string) {
 	defer c.mu.Unlock()
 	c.hedges[result]++
 }
-
-// PolicyName reports the placement policy this coordinator schedules
-// with (the /healthz policy row).
-func (c *Coordinator) PolicyName() string { return c.policy.Name() }
 
 // HedgeStats reports lifetime hedge totals: speculative attempts issued,
 // hedges whose answer merged first, and hedges that bought nothing.

@@ -8,13 +8,12 @@ import (
 
 // This file is the coordinator's membership plane: the scheduling member
 // table. It has one writer, SetMembers, which takes the whole fleet at
-// once — in dsed, each gossip round's alive set. The hash ring changes
-// incrementally (only joiners' and leavers' virtual nodes move), so fleet
-// churn moves only the affected benchmarks' homes and an in-flight sweep
-// re-dispatches only the shards orphaned by a departure.
+// once — in dsed, each gossip round's alive set. Survivors keep their
+// records through churn, so an in-flight sweep re-dispatches only the
+// shards orphaned by a departure.
 
 // defaultCapacity is the concurrent-shard budget of a member that
-// advertises none, before affinity scheduling spills past it.
+// advertises none, before placement spills past it.
 const defaultCapacity = 4
 
 // MemberInfo is one fleet member as SetMembers takes it: how to reach
@@ -24,14 +23,14 @@ type MemberInfo struct {
 	// member already in the fleet keeps the transport it joined with.
 	Transport Transport
 	// Capacity bounds how many shards the coordinator schedules on the
-	// worker at once before affinity spills past it (0 = default 4).
+	// worker at once before placement spills past it (0 = default 4).
 	Capacity int
 	// Benchmarks is the worker's trained-model inventory: the benchmarks
-	// whose every served metric is already in its registry. The scheduler
-	// routes shards for these benchmarks to the worker first.
+	// whose every served metric is already in its registry. Among workers
+	// with a free slot, placement prefers the benchmark's holders.
 	Benchmarks []string
 	// QueueDepths maps benchmark name to the worker's running job count
-	// for it — the least-loaded and oversub policies' load signal.
+	// for it; their sum is part of the load placement balances.
 	QueueDepths map[string]int
 }
 
@@ -85,10 +84,10 @@ type MemberStatus struct {
 // SetMembers makes members the whole fleet. A member already present
 // keeps its record — inflight shards, latency EWMA and shard counts
 // survive — and has its capacity, inventory and queue depths refreshed;
-// a new name enters the ring with a fresh record; a name missing from
-// the list leaves the table and the ring, and its in-flight shards (if
-// they fail) re-dispatch to the survivors. An empty or duplicate name
-// is an error and leaves the fleet unchanged.
+// a new name enters with a fresh record; a name missing from the list
+// leaves the table, and its in-flight shards (if they fail) re-dispatch
+// to the survivors. An empty or duplicate name is an error and leaves
+// the fleet unchanged.
 func (c *Coordinator) SetMembers(members []MemberInfo) error {
 	names := make(map[string]bool, len(members))
 	for i, info := range members {
@@ -106,7 +105,6 @@ func (c *Coordinator) SetMembers(members []MemberInfo) error {
 	for name := range c.members {
 		if !names[name] {
 			delete(c.members, name)
-			c.ring.remove(name)
 			c.metrics.event("leave")
 		}
 	}
@@ -116,7 +114,6 @@ func (c *Coordinator) SetMembers(members []MemberInfo) error {
 		if !ok {
 			m = &member{name: name, transport: info.Transport, inst: c.metrics.worker(name)}
 			c.members[name] = m
-			c.ring.add(name)
 			c.metrics.event("join")
 		}
 		m.capacity = defaultCapacity

@@ -141,7 +141,7 @@ func TestRejoinKeepsAccountingClean(t *testing.T) {
 
 // TestAffinitySpillsOnlyUnderLoad drives the scheduler directly: while
 // the model holder has a free capacity slot every shard goes to it; once
-// its slots are claimed, the next shard spills to the ring.
+// its slots are claimed, the next shard spills to the other worker.
 func TestAffinitySpillsOnlyUnderLoad(t *testing.T) {
 	coord := newTestCoordinator(t, nil, Options{ShardSize: 8})
 	if err := coord.SetMembers([]MemberInfo{
@@ -168,7 +168,7 @@ func TestAffinitySpillsOnlyUnderLoad(t *testing.T) {
 		t.Fatalf("idle holder did not take the first shards: %v", names)
 	}
 	if names[2] != "other" {
-		t.Fatalf("saturated holder did not spill shard 2 to the ring: %v", names)
+		t.Fatalf("saturated holder did not spill shard 2: %v", names)
 	}
 }
 
@@ -204,7 +204,7 @@ func (g *gated) Sweep(ctx context.Context, q Query, s Shard) (*Partial, error) {
 // frontier still equals the single-process answer.
 func TestJoinMidSweepTakesShards(t *testing.T) {
 	slow := &gated{Transport: NewLocal("original", resolveFake), release: make(chan struct{})}
-	coord := newTestCoordinator(t, []Transport{slow}, Options{ShardSize: 8, Parallelism: 2})
+	coord := newTestCoordinator(t, []Transport{slow}, Options{ShardSize: 8})
 
 	designs := testDesigns(240)
 	want := singleProcessReference(t, designs)
@@ -307,7 +307,7 @@ func TestAdaptiveShardSizing(t *testing.T) {
 		TargetShardTime: 50 * time.Millisecond,
 	})
 	coord.mu.Lock()
-	if got := coord.shardSizeLocked("w"); got != 32 {
+	if got := coord.shardSizeLocked(coord.members["w"]); got != 32 {
 		t.Errorf("size before any observation: %d, want the configured 32", got)
 	}
 	coord.mu.Unlock()
@@ -319,7 +319,7 @@ func TestAdaptiveShardSizing(t *testing.T) {
 	coord.mu.Unlock()
 	coord.observe(w, 100, 100*time.Millisecond)
 	coord.mu.Lock()
-	if got := coord.shardSizeLocked("w"); got != 50 {
+	if got := coord.shardSizeLocked(coord.members["w"]); got != 50 {
 		t.Errorf("adaptive size %d, want 50 (50ms target at 1ms/design)", got)
 	}
 	coord.mu.Unlock()
@@ -328,11 +328,11 @@ func TestAdaptiveShardSizing(t *testing.T) {
 	// minShardSize.
 	coord.mu.Lock()
 	coord.members["w"].ewmaPerDesignMS = 0.0001
-	if got := coord.shardSizeLocked("w"); got != maxShardSize {
+	if got := coord.shardSizeLocked(coord.members["w"]); got != maxShardSize {
 		t.Errorf("fast-worker size %d, want clamp %d", got, maxShardSize)
 	}
 	coord.members["w"].ewmaPerDesignMS = 1e9
-	if got := coord.shardSizeLocked("w"); got != minShardSize {
+	if got := coord.shardSizeLocked(coord.members["w"]); got != minShardSize {
 		t.Errorf("slow-worker size %d, want clamp %d", got, minShardSize)
 	}
 	coord.mu.Unlock()

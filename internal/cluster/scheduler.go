@@ -2,10 +2,9 @@ package cluster
 
 // This file is the coordinator's shard scheduler: shards are carved off
 // the design list on demand (not pre-partitioned), each sized for the
-// worker about to take it, and each placed by the configured Policy
-// (policy.go) over a snapshot of the live fleet — benchmark-affinity
-// ring routing by default, queue-depth, packing, or oversubscription
-// strategies by choice.
+// worker about to take it, and each placed by one rule (ranksBefore)
+// over the live fleet as it is at that moment. Every input the rule
+// reads is observed, so there is nothing to tune.
 
 // carver hands out contiguous shards of a sweep's remaining design
 // segments on demand. A fresh sweep is one segment covering the whole
@@ -54,12 +53,11 @@ func (cv *carver) take(n int) (Shard, bool) {
 func (c *Coordinator) nextAssignment(cv *carver, benchmark string) (Shard, *member, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	name := c.pickWorkerLocked(benchmark, nil)
-	s, ok := cv.take(c.shardSizeLocked(name))
+	m := c.pickWorkerLocked(benchmark, nil)
+	s, ok := cv.take(c.shardSizeLocked(m))
 	if !ok {
 		return Shard{}, nil, false
 	}
-	m := c.members[name]
 	if m != nil {
 		m.inflight++
 	}
@@ -71,76 +69,63 @@ func (c *Coordinator) nextAssignment(cv *carver, benchmark string) (Shard, *memb
 func (c *Coordinator) claimRetry(benchmark string, tried map[string]bool) *member {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := c.members[c.pickWorkerLocked(benchmark, tried)]
+	m := c.pickWorkerLocked(benchmark, tried)
 	if m != nil {
 		m.inflight++
 	}
 	return m
 }
 
-// pickWorkerLocked routes one shard: it snapshots the live, untried
-// fleet into a PlacementView and takes the configured Policy's top
-// ranked worker. Liveness and tried-exclusion are enforced here, outside
-// the policy — a policy cannot place on a departed or exhausted worker
-// even if it misranks.
-func (c *Coordinator) pickWorkerLocked(benchmark string, tried map[string]bool) string {
-	v, ok := c.placementViewLocked(benchmark, tried)
-	if !ok {
-		return ""
-	}
-	for _, name := range c.policy.Rank(v) {
-		if m := c.members[name]; m != nil && !tried[name] {
-			c.metrics.placements.Inc()
-			return name
+// pickWorkerLocked is the placement rule: over the live members not yet
+// tried for this shard, it returns the one that ranks first (nil when
+// none is left). Only members of the current table are candidates, so a
+// departed worker can never be placed on.
+func (c *Coordinator) pickWorkerLocked(benchmark string, tried map[string]bool) *member {
+	var best *member
+	for name, m := range c.members {
+		if !tried[name] && (best == nil || m.ranksBefore(best, benchmark)) {
+			best = m
 		}
 	}
-	return ""
+	if best != nil {
+		c.metrics.placements.Inc()
+	}
+	return best
 }
 
-// placementViewLocked builds the fleet snapshot a Policy ranks: live,
-// untried workers in consistent-hash ring order for the benchmark, each
-// annotated with dispatch state (inflight, EWMA) and gossiped adverts
-// (capacity, model inventory, queue depths).
-func (c *Coordinator) placementViewLocked(benchmark string, tried map[string]bool) (PlacementView, bool) {
-	if len(c.members) == 0 {
-		return PlacementView{}, false
+// ranksBefore orders two candidates for one shard of benchmark:
+//
+//  1. a worker with a free slot (inflight < capacity) before a
+//     saturated one, so the sweep spills only under load — yet a fully
+//     saturated fleet still gets a pick and keeps progressing;
+//  2. a worker advertising the benchmark's trained models before one
+//     that would train on demand mid-sweep;
+//  3. the lower load: inflight shards plus every advertised queue depth,
+//     so a straggler's piled-up shards and a worker busy with other
+//     traffic both repel new ones (depths arrive by gossip and lag a
+//     round: a trend, not truth);
+//  4. the name, alphabetically, so equal inputs give equal picks.
+func (m *member) ranksBefore(o *member, benchmark string) bool {
+	if free, oFree := m.inflight < m.capacity, o.inflight < o.capacity; free != oFree {
+		return free
 	}
-	order := c.ring.order(benchmark)
-	v := PlacementView{Benchmark: benchmark, Workers: make([]WorkerView, 0, len(order)), Deal: c.nextDeal()}
-	for _, name := range order {
-		if tried[name] {
-			continue
-		}
-		m := c.members[name]
-		if m == nil {
-			continue
-		}
-		w := WorkerView{
-			Name:            name,
-			HasModels:       m.benchmarks[benchmark],
-			Inflight:        m.inflight,
-			Capacity:        m.capacity,
-			EWMAPerDesignMS: m.ewmaPerDesignMS,
-		}
-		for b, n := range m.queueDepths {
-			w.QueueTotal += n
-			if b == benchmark {
-				w.QueueDepth = n
-			}
-		}
-		v.Workers = append(v.Workers, w)
+	if has, oHas := m.benchmarks[benchmark], o.benchmarks[benchmark]; has != oHas {
+		return has
 	}
-	if len(v.Workers) == 0 {
-		return PlacementView{}, false
+	if load, oLoad := m.load(), o.load(); load != oLoad {
+		return load < oLoad
 	}
-	return v, true
+	return m.name < o.name
 }
 
-// nextDeal advances the round-robin dealing counter (held under c.mu).
-func (c *Coordinator) nextDeal() int {
-	d := c.deal
-	c.deal++
-	return d
+// load is the member's observed work: the coordinator's in-flight shards
+// on it plus its advertised queue depths across all benchmarks.
+func (m *member) load() int {
+	n := m.inflight
+	for _, d := range m.queueDepths {
+		n += d
+	}
+	return n
 }
 
 // shardSizeLocked sizes the next shard for one worker. Fixed ShardSize
@@ -148,13 +133,9 @@ func (c *Coordinator) nextDeal() int {
 // latency observation; then the size that would take about
 // TargetShardTime at the worker's per-design EWMA, clamped to
 // [minShardSize, maxShardSize].
-func (c *Coordinator) shardSizeLocked(name string) int {
+func (c *Coordinator) shardSizeLocked(m *member) int {
 	size := c.opts.ShardSize
-	if c.opts.TargetShardTime <= 0 || name == "" {
-		return size
-	}
-	m := c.members[name]
-	if m == nil || m.ewmaPerDesignMS <= 0 {
+	if c.opts.TargetShardTime <= 0 || m == nil || m.ewmaPerDesignMS <= 0 {
 		return size
 	}
 	targetMS := float64(c.opts.TargetShardTime.Microseconds()) / 1000

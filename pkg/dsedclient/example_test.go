@@ -100,42 +100,31 @@ func ExampleClient_SubmitSweep() {
 	}
 }
 
-// Example_multiPolicyFleet drives two peer fleets that schedule the
-// same models under different placement policies — say one booted with
-// `-policy affinity` and one with `-policy least-loaded -hedge-factor 3`
-// — and races the same sweep through both. Each client lists every peer
-// of its fleet, so it fails over if the accepting peer dies. The client
-// is identical either way: scheduling policy is a fleet-side decision,
-// invisible in the wire protocol except as makespan and the per-update
-// Worker attribution.
-func Example_multiPolicyFleet() {
-	req := wire.ParetoRequest{
+// Example_peerFleet drives a peer fleet — say three peers booted with
+// `dsed -peers ...` — through one client that lists every peer, so it
+// fails over if the accepting peer dies, streams included. Placement is
+// fleet-side and invisible in the wire protocol except as makespan and
+// the per-update Worker attribution tallied here.
+func Example_peerFleet() {
+	c := dsedclient.New("http://localhost:9101,http://localhost:9102,http://localhost:9103",
+		dsedclient.WithRetries(2))
+	perWorker := map[string]int{}
+	start := time.Now()
+	final, err := c.ParetoJob(context.Background(), wire.ParetoRequest{
 		Benchmark: "gcc",
 		Objectives: []wire.ObjectiveSpec{
 			{Metric: "CPI"},
 			{Metric: "Power", Kind: "worst"},
 		},
 		SpaceSpec: wire.SpaceSpec{Space: "test", Sample: 16384, Seed: 3},
+	}, func(u api.Update) {
+		perWorker[u.Worker] += u.Delta
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	ctx := context.Background()
-	for _, fleet := range []string{
-		// dsed -peers ... -policy affinity
-		"http://localhost:9101,http://localhost:9102",
-		// dsed -peers ... -policy least-loaded -hedge-factor 3
-		"http://localhost:9201,http://localhost:9202",
-	} {
-		c := dsedclient.New(fleet, dsedclient.WithRetries(2))
-		perWorker := map[string]int{}
-		start := time.Now()
-		final, err := c.ParetoJob(ctx, req, func(u api.Update) {
-			perWorker[u.Worker] += u.Delta
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		// Same frontier from every policy — placement moves the work and
-		// the makespan, never the answer.
-		fmt.Printf("%s: %d frontier points in %v, shards by peer: %v\n",
-			fleet, len(final.Frontier), time.Since(start).Round(time.Millisecond), perWorker)
-	}
+	// The frontier equals a single daemon's: placement moves the work
+	// and the makespan, never the answer.
+	fmt.Printf("%d frontier points in %v, designs by peer: %v\n",
+		len(final.Frontier), time.Since(start).Round(time.Millisecond), perWorker)
 }
