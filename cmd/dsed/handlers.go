@@ -455,13 +455,17 @@ func (s *Server) paretoHandler(run func(wire.ParetoRequest, []space.Config) api.
 	}
 }
 
-// runPareto is the single-node frontier job body: the sweep streams
-// through an incremental FrontierCollector so the job can publish
-// genuine partial frontiers while it runs (the collector's frontier
-// equals the batch ParetoFrontier over the same designs, property-tested
-// in internal/explore) — the price of partials being available at any
-// instant is per-candidate incremental insertion instead of one batch
-// O(n log n) frontier.
+// runPareto is the single-node frontier job body, and the body a fleet
+// shard runs with local scope: the sweep streams through an incremental
+// FrontierCollector so the job can publish genuine partial frontiers
+// while it runs (the collector's frontier equals the batch ParetoFrontier
+// over the same designs, property-tested in internal/explore). Because
+// the collector is a Screener, SweepStream screens mean and worst-case
+// objectives: each design is first bounded from its models' scaling
+// coefficients and fully predicted only if the frontier so far does not
+// already beat the bound. The answer is bit-identical either way; the
+// phase:predict span's designs_rescored attribute counts the designs
+// predicted in full.
 func (s *Server) runPareto(req wire.ParetoRequest, early []space.Config) api.RunFunc {
 	return func(ctx context.Context, pub api.Publisher) (any, api.Update, error) {
 		ctx, jobSpan := startJobSpan(s.tel, ctx, "job:pareto", pub, req.Benchmark)
@@ -491,6 +495,7 @@ func (s *Server) runPareto(req wire.ParetoRequest, early []space.Config) api.Run
 		_, predictSpan := s.tel.tracer.Start(ctx, "phase:predict")
 		err = explore.SweepStream(ctx, designs, models, objectives,
 			explore.Options{Workers: s.workers, Progress: evaluated.observe, ChunkDone: s.chunkDone}, fc)
+		predictSpan.SetAttr("designs_rescored", strconv.Itoa(fc.rescored()))
 		predictSpan.End()
 		stopTicks()
 		if err != nil {

@@ -234,10 +234,35 @@ func (l *lockedFrontier) Collect(i int, c explore.Candidate) {
 	l.inner.Collect(i, c)
 }
 
+var _ explore.Screener = (*lockedFrontier)(nil)
+
+// AppendFrontierScores implements explore.Screener, so frontier jobs
+// take the screened sweep.
+func (l *lockedFrontier) AppendFrontierScores(dst []float64) []float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.inner.AppendFrontierScores(dst)
+}
+
+// Skip implements explore.Screener.
+func (l *lockedFrontier) Skip(n int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.inner.Skip(n)
+}
+
 func (l *lockedFrontier) snapshot() (seen int, frontier []explore.Candidate) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.inner.Seen(), l.inner.Frontier()
+}
+
+// rescored is how many designs the sweep predicted in full: every one it
+// did not screen out.
+func (l *lockedFrontier) rescored() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.inner.Seen() - l.inner.Screened()
 }
 
 // lockedTopK is lockedFrontier for constrained top-K collection.

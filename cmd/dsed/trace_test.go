@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -147,12 +148,23 @@ func TestClusterJobTraceConnected(t *testing.T) {
 
 	// Walk the tree: count spans, bucket them by node, and check every
 	// shard's job span hangs under one of the owner's dispatch spans.
+	// Every shard's phase:predict span says how many of its designs the
+	// screened sweep predicted in full.
 	nodes := 0
 	jobSpansPerNode := map[string]int{}
 	requestIDs := map[string]bool{}
+	predictSpans, rescored := 0, 0
 	var walk func(n *obs.TraceNode, parent *obs.TraceNode)
 	walk = func(n *obs.TraceNode, parent *obs.TraceNode) {
 		nodes++
+		if n.Name == "phase:predict" {
+			predictSpans++
+			r, err := strconv.Atoi(n.Attrs["designs_rescored"])
+			if err != nil || r < 1 {
+				t.Errorf("phase:predict on %s has designs_rescored %q, want a positive count", n.Node, n.Attrs["designs_rescored"])
+			}
+			rescored += r
+		}
 		if id := n.Attrs["request_id"]; id != "" {
 			requestIDs[id] = true
 		}
@@ -170,6 +182,9 @@ func TestClusterJobTraceConnected(t *testing.T) {
 		}
 	}
 	walk(root, nil)
+	if predictSpans == 0 || rescored > 300 {
+		t.Errorf("%d phase:predict spans rescored %d designs, want some spans and at most the 300 designs", predictSpans, rescored)
+	}
 	if nodes != trace.Spans {
 		t.Errorf("tree holds %d spans, envelope reports %d — duplicates or orphans", nodes, trace.Spans)
 	}

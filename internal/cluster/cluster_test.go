@@ -510,3 +510,45 @@ func TestNewRejectsBadFleets(t *testing.T) {
 		}
 	}
 }
+
+// TestLocalParetoStreamsExactly runs an in-process shard over wavelet
+// predictors, whose frontier sweep screens designs, and checks the
+// Partial against the full batch answer: every design counted, and the
+// frontier bit-identical in order, scores and configurations.
+func TestLocalParetoStreamsExactly(t *testing.T) {
+	train := testDesigns(80)
+	models := map[string]core.DynamicsModel{}
+	for metric, phase := range map[string]float64{"CPI": 0.3, "Power": 1.7} {
+		traces := make([][]float64, len(train))
+		for i, cfg := range train {
+			traces[i] = fakeModel{phase: phase}.Predict(cfg)
+		}
+		p, err := core.Train(train, traces, core.Options{NumCoefficients: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		models[metric] = p
+	}
+	resolve := func(_ context.Context, _, metric string) (core.DynamicsModel, error) {
+		return models[metric], nil
+	}
+	q := Query{Benchmark: "gcc", Objectives: []wire.ObjectiveSpec{{Metric: "CPI"}, {Metric: "Power"}}}
+	designs := space.Random(3000, space.TestLevels(), space.Baseline(), mathx.NewRNG(9))
+	shard := Shard{Start: 100, Designs: designs}
+
+	got, err := NewLocal("local", resolve).Pareto(context.Background(), q, shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj := explore.MeanObjective("m")
+	want, err := explore.Sweep(designs, []core.DynamicsModel{models["CPI"], models["Power"]}, []explore.Objective{obj, obj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Evaluated != len(designs) || got.Feasible != len(designs) {
+		t.Fatalf("evaluated/feasible %d/%d, want %d", got.Evaluated, got.Feasible, len(designs))
+	}
+	if !reflect.DeepEqual(got.Candidates, indexed(want.Frontier, shard.Start)) {
+		t.Fatalf("shard frontier differs from the batch frontier:\n got  %v\n want %v", got.Candidates, want.Frontier)
+	}
+}

@@ -76,14 +76,17 @@ func (l *Local) Pareto(ctx context.Context, q Query, s Shard) (*Partial, error) 
 	if err != nil {
 		return nil, err
 	}
-	res, err := explore.SweepContext(ctx, s.Designs, models, objectives, explore.Options{Workers: l.Workers})
+	// Streaming into a FrontierCollector holds only the shard's frontier
+	// alive and lets the sweep screen designs the frontier already beats.
+	fc := explore.NewFrontierCollector()
+	err = explore.SweepStream(ctx, s.Designs, models, objectives, explore.Options{Workers: l.Workers}, fc)
 	if err != nil {
 		return nil, err
 	}
 	return &Partial{
-		Evaluated:  len(res.Evaluated),
-		Feasible:   len(res.Evaluated),
-		Candidates: indexed(res.Frontier, s.Start),
+		Evaluated:  fc.Seen(),
+		Feasible:   fc.Seen(),
+		Candidates: indexed(fc.Frontier(), s.Start),
 	}, nil
 }
 

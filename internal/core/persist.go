@@ -103,5 +103,6 @@ func Load(r io.Reader) (*Predictor, error) {
 		basis: waveletBasis(w, f.TraceLen, f.Selected),
 	}
 	p.basisLo, p.basisHi = basisSpans(p.basis)
+	p.initBound()
 	return p, nil
 }

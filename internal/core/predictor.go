@@ -103,6 +103,12 @@ type Predictor struct {
 	basis   [][]float64
 	basisLo []int
 	basisHi []int
+
+	// The mean bound (bound.go): the networks whose basis vector has a
+	// non-zero mean, those means, and the proven rounding margin.
+	boundNets   []int
+	boundMeans  []float64
+	boundMargin float64
 }
 
 // featureVector applies the configured input encoding.
@@ -241,6 +247,7 @@ func Train(configs []space.Config, traces [][]float64, opts Options) (*Predictor
 	}
 	p.basis = waveletBasis(opts.Wavelet, n, selected)
 	p.basisLo, p.basisHi = basisSpans(p.basis)
+	p.initBound()
 	return p, nil
 }
 

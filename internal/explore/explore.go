@@ -15,7 +15,10 @@
 //     the right tool up to a few hundred thousand designs.
 //   - SweepStream feeds candidates through Collectors (TopK,
 //     FrontierCollector) without retaining them, so million-design sweeps
-//     hold only the answer alive.
+//     hold only the answer alive. Into a FrontierCollector it also
+//     screens: designs whose models' cheap mean bounds the frontier so
+//     far already beats are skipped unpredicted, without changing the
+//     answer.
 package explore
 
 import (
@@ -39,17 +42,24 @@ type Objective struct {
 	Name string
 	// Score reduces a predicted trace to a scalar (lower is better).
 	Score func(trace []float64) float64
+
+	// meanBounded marks scores that are at least the trace's mean —
+	// mathx.Mean itself, or anything at least the exact mean of the
+	// entries — so a model's mean bound lower-bounds the score and a
+	// streaming frontier sweep may screen designs (see SweepStream).
+	meanBounded bool
 }
 
 // MeanObjective scores by trace mean — aggregate behaviour.
 func MeanObjective(name string) Objective {
-	return Objective{Name: name, Score: mathx.Mean}
+	return Objective{Name: name, Score: mathx.Mean, meanBounded: true}
 }
 
 // WorstCaseObjective scores by trace maximum — the worst execution
 // scenario, the quantity thermal/reliability provisioning cares about.
+// The maximum is at least the mean, so the mean's bound lower-bounds it.
 func WorstCaseObjective(name string) Objective {
-	return Objective{Name: name, Score: mathx.Max}
+	return Objective{Name: name, Score: mathx.Max, meanBounded: true}
 }
 
 // ExceedanceObjective scores by the fraction of samples at or above a
@@ -138,11 +148,10 @@ func SweepContext(ctx context.Context, designs []space.Config, models []core.Dyn
 	// result exactly once.
 	m := len(models)
 	backing := make([]float64, len(designs)*m)
-	err := evalChunks(ctx, designs, models, objectives, opts, func(start int, sc []float64) {
-		for j := 0; j < len(sc)/m; j++ {
-			i := start + j
+	err := evalChunks(ctx, designs, models, objectives, opts, nil, func(b *batch) {
+		for k, i := range b.rows {
 			dst := backing[i*m : (i+1)*m : (i+1)*m]
-			copy(dst, sc[j*m:(j+1)*m])
+			copy(dst, b.scores[k*m:(k+1)*m])
 			res.Evaluated[i] = Candidate{Config: designs[i], Scores: dst}
 		}
 	})
@@ -168,30 +177,137 @@ type Collector interface {
 	Collect(index int, c Candidate)
 }
 
+// Screener is a Collector that would discard any candidate one of its
+// retained candidates strictly dominates, and so lets a streaming sweep
+// skip scoring such candidates altogether. FrontierCollector is one.
+// SweepStream calls both methods under the same lock as Collect.
+type Screener interface {
+	Collector
+	// AppendFrontierScores appends the scores of every retained
+	// candidate, back to back, to dst and returns the extended slice.
+	AppendFrontierScores(dst []float64) []float64
+	// Skip records n candidates the sweep discarded unscored; they count
+	// as offered.
+	Skip(n int)
+}
+
 // SweepStream evaluates every design on a bounded worker pool and streams
 // each candidate into the collectors instead of materialising the sweep.
 // Candidates arrive exactly once each, tagged with their design index,
-// but not necessarily in order. Memory stays proportional to what the
-// collectors retain, not to len(designs).
+// but not necessarily in order — except designs a screened sweep skips
+// (below), which arrive only as Skip counts. Memory stays proportional
+// to what the collectors retain, not to len(designs).
+//
+// When every collector is a Screener, every model a core.Predictor (see
+// Predictor.Bound) and every objective a MeanObjective or
+// WorstCaseObjective, the sweep screens: it first brackets each design's
+// objectives from the models' mean bounds — one network per model
+// instead of k — and skips the design, reporting it through
+// Screener.Skip, when a candidate the collectors already retained is at
+// most every lower bound and below one of them. That candidate strictly dominates the design's real scores,
+// so the collectors end up exactly as an unscreened sweep leaves them.
+// Every other design is scored in full, so every collected score is
+// bit-identical too. Each worker checks against its own copy of the
+// retained scores, refreshed after each chunk it emits; a stale copy
+// only screens less, since every retained candidate is a real evaluated
+// design and dominance is transitive. Any other sweep scores every
+// design.
 func SweepStream(ctx context.Context, designs []space.Config, models []core.DynamicsModel, objectives []Objective, opts Options, collectors ...Collector) error {
 	if err := validateSweep(designs, models, objectives); err != nil {
 		return err
 	}
+	scr := newScreen(models, objectives, collectors)
 	var mu sync.Mutex
 	nm := len(models)
-	return evalChunks(ctx, designs, models, objectives, opts, func(start int, sc []float64) {
+	return evalChunks(ctx, designs, models, objectives, opts, scr, func(b *batch) {
 		mu.Lock()
 		defer mu.Unlock()
-		for j := 0; j < len(sc)/nm; j++ {
+		for k, i := range b.rows {
 			cand := Candidate{
-				Config: designs[start+j],
-				Scores: sc[j*nm : (j+1)*nm : (j+1)*nm],
+				Config: designs[i],
+				Scores: b.scores[k*nm : (k+1)*nm : (k+1)*nm],
 			}
 			for _, col := range collectors {
-				col.Collect(start+j, cand)
+				col.Collect(i, cand)
+			}
+		}
+		if scr != nil {
+			for v, sc := range scr.screeners {
+				sc.Skip(b.screened)
+				b.views[v] = sc.AppendFrontierScores(b.views[v][:0])
 			}
 		}
 	})
+}
+
+// bounder is the model capability a screened sweep needs: a cheap
+// bracket around the mean of the trace the model predicts, from the
+// encoded features. core.Predictor has it; see its Bound.
+type bounder interface {
+	core.VecPredictor
+	Bound(x []float64) (est, margin float64)
+}
+
+// screen is a streaming sweep's plan for skipping designs unscored: one
+// mean bound per model and the collectors that must all vouch for a skip.
+type screen struct {
+	bounds    []bounder
+	screeners []Screener
+}
+
+// newScreen returns the sweep's screen, or nil when a model cannot bound
+// its trace mean, an objective is not bounded below by the trace mean,
+// or a collector cannot screen.
+func newScreen(models []core.DynamicsModel, objectives []Objective, collectors []Collector) *screen {
+	if len(collectors) == 0 {
+		return nil
+	}
+	scr := &screen{}
+	for m, model := range models {
+		b, ok := model.(bounder)
+		if !ok || !objectives[m].meanBounded {
+			return nil
+		}
+		scr.bounds = append(scr.bounds, b)
+	}
+	for _, col := range collectors {
+		sc, ok := col.(Screener)
+		if !ok {
+			return nil
+		}
+		scr.screeners = append(scr.screeners, sc)
+	}
+	return scr
+}
+
+// beaten reports whether every view holds a score vector at most lb
+// everywhere and below it somewhere. NaN on either side beats nothing.
+func beaten(views [][]float64, lb []float64) bool {
+	nm := len(lb)
+	for _, v := range views {
+		hit := false
+		for o := 0; o+nm <= len(v) && !hit; o += nm {
+			hit = below(v[o:o+nm], lb)
+		}
+		if !hit {
+			return false
+		}
+	}
+	return true
+}
+
+// below reports whether p ≤ lb everywhere and p < lb somewhere.
+func below(p, lb []float64) bool {
+	strictly := false
+	for i, lo := range lb {
+		if !(p[i] <= lo) {
+			return false
+		}
+		if p[i] < lo {
+			strictly = true
+		}
+	}
+	return strictly
 }
 
 // ParallelFor runs fn(i) for every i in [0, n) on a bounded worker pool
@@ -236,20 +352,35 @@ func validateSweep(designs []space.Config, models []core.DynamicsModel, objectiv
 	return nil
 }
 
+// batch is one finished chunk as evalChunks hands it to emit. All of it
+// is worker scratch, reused for the worker's next chunk, so emit must
+// copy out values it retains.
+type batch struct {
+	// rows are the design indexes the chunk scored, ascending; scores
+	// holds len(models) scores per row, back to back.
+	rows   []int
+	scores []float64
+	// screened counts the chunk's designs a screened sweep skipped, and
+	// views[v] is the worker's copy of screener v's retained scores,
+	// which emit refreshes (screened sweeps only).
+	screened int
+	views    [][]float64
+}
+
 // evalChunks shards designs into contiguous chunks claimed by workers off
 // an atomic cursor (cheaper than a per-design channel at model-query
 // rates of millions per second). emit is called once per finished chunk,
-// possibly concurrently, with the chunk's start index and its flat score
-// matrix (len(models) scores per design, in design order) — callers
-// reconstruct Candidates from designs[start+j], keeping the 200-byte
-// Config out of the worker hot loop. The score slice is worker scratch
-// reused for the next chunk, so emit must copy out values it retains.
+// possibly concurrently, with the design indexes the chunk scored and
+// their flat score matrix — callers reconstruct Candidates from
+// designs[i], keeping the 200-byte Config out of the worker hot loop.
+// With a non-nil scr, designs the worker's screen views beat are skipped
+// instead of scored (see SweepStream).
 //
 // Each worker holds its own scratch — one trace buffer per model (reused
 // through core.IntoPredictor when the model supports it) and one flat
 // backing array for the chunk's scores — so the steady-state sweep
 // performs zero heap allocations per design.
-func evalChunks(ctx context.Context, designs []space.Config, models []core.DynamicsModel, objectives []Objective, opts Options, emit func(start int, scores []float64)) error {
+func evalChunks(ctx context.Context, designs []space.Config, models []core.DynamicsModel, objectives []Objective, opts Options, scr *screen, emit func(b *batch)) error {
 	n := len(designs)
 	workers := opts.workers()
 	if workers > n {
@@ -290,7 +421,12 @@ func evalChunks(ctx context.Context, designs []space.Config, models []core.Dynam
 		go func() {
 			defer wg.Done()
 			nm := len(models)
-			scores := make([]float64, chunk*nm)
+			b := &batch{rows: make([]int, 0, chunk), scores: make([]float64, chunk*nm)}
+			var lb []float64
+			if scr != nil {
+				lb = make([]float64, nm)
+				b.views = make([][]float64, len(scr.screeners))
+			}
 			traces := make([][]float64, nm)
 			var fbuf [space.MaxFeatures]float64
 			for {
@@ -306,9 +442,8 @@ func evalChunks(ctx context.Context, designs []space.Config, models []core.Dynam
 				if opts.ChunkDone != nil {
 					t0 = time.Now()
 				}
+				b.rows, b.screened = b.rows[:0], 0
 				for i := start; i < end; i++ {
-					j := i - start
-					s := scores[j*nm : (j+1)*nm : (j+1)*nm]
 					var x []float64
 					if needVec {
 						if needDVM {
@@ -317,6 +452,19 @@ func evalChunks(ctx context.Context, designs []space.Config, models []core.Dynam
 							x = designs[i].VectorInto(fbuf[:0])
 						}
 					}
+					if scr != nil {
+						for m, bd := range scr.bounds {
+							est, margin := bd.Bound(x[:nfeat[m]])
+							lb[m] = est - margin
+						}
+						if beaten(b.views, lb) {
+							b.screened++
+							continue
+						}
+					}
+					j := len(b.rows)
+					b.rows = append(b.rows, i)
+					s := b.scores[j*nm : (j+1)*nm : (j+1)*nm]
 					for m := range models {
 						var trace []float64
 						switch {
@@ -332,7 +480,7 @@ func evalChunks(ctx context.Context, designs []space.Config, models []core.Dynam
 						s[m] = objectives[m].Score(trace)
 					}
 				}
-				emit(start, scores[:(end-start)*nm])
+				emit(b)
 				if opts.ChunkDone != nil {
 					opts.ChunkDone(end-start, time.Since(t0))
 				}

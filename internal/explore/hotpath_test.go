@@ -100,21 +100,52 @@ func TestSweepScratchPathMatchesReference(t *testing.T) {
 // on the streaming path is (indistinguishable from) zero — only per-sweep
 // setup (goroutines, worker scratch, collector retention) allocates.
 func TestSweepSteadyStateAllocs(t *testing.T) {
-	models := trainedModels(t)
-	objectives := []Objective{MeanObjective("cpi"), WorstCaseObjective("cpi_peak")}
 	rng := mathx.NewRNG(42)
 	const n = 8192
 	designs := space.Random(n, space.TestLevels(), space.Baseline(), rng)
 	ctx := context.Background()
 
-	allocs := testing.AllocsPerRun(3, func() {
-		top := NewTopK(8, 0, nil)
-		if err := SweepStream(ctx, designs, models, objectives, Options{Workers: 1}, top); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if perDesign := allocs / n; perDesign > 0.01 {
-		t.Errorf("streaming sweep allocates %.4f/design (%.0f total), want ≤0.01", perDesign, allocs)
+	for _, tc := range allocCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := testing.AllocsPerRun(3, func() {
+				if err := SweepStream(ctx, designs, tc.models, tc.objectives, Options{Workers: 1}, tc.collector()); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if perDesign := allocs / n; perDesign > 0.01 {
+				t.Errorf("streaming sweep allocates %.4f/design (%.0f total), want ≤0.01", perDesign, allocs)
+			}
+		})
+	}
+}
+
+// allocCase is one streaming sweep shape whose per-design allocations
+// the zero-alloc tests bound.
+type allocCase struct {
+	name       string
+	models     []core.DynamicsModel
+	objectives []Objective
+	collector  func() Collector
+}
+
+// allocCases covers both streaming paths: top-K collection over a
+// predictor and a baseline (the full path), and frontier collection over
+// served-configuration gcc models (the screened path; its frontier over
+// 8,192 random test-space designs has about 65 points).
+func allocCases(t *testing.T) []allocCase {
+	return []allocCase{
+		{
+			name:       "topk",
+			models:     trainedModels(t),
+			objectives: []Objective{MeanObjective("cpi"), WorstCaseObjective("cpi_peak")},
+			collector:  func() Collector { return NewTopK(8, 0, nil) },
+		},
+		{
+			name:       "frontier",
+			models:     servedGCCModels(t),
+			objectives: []Objective{MeanObjective("cpi"), MeanObjective("power")},
+			collector:  func() Collector { return NewFrontierCollector() },
+		},
 	}
 }
 
@@ -124,40 +155,41 @@ func TestSweepSteadyStateAllocs(t *testing.T) {
 // pre-registered obs histograms. Instrumentation must not buy its
 // latency signal with per-design garbage.
 func TestInstrumentedSweepSteadyStateAllocs(t *testing.T) {
-	models := trainedModels(t)
-	objectives := []Objective{MeanObjective("cpi"), WorstCaseObjective("cpi_peak")}
 	rng := mathx.NewRNG(43)
 	const n = 8192
 	designs := space.Random(n, space.TestLevels(), space.Baseline(), rng)
 	ctx := context.Background()
 
-	reg := obs.NewRegistry(nil)
-	chunkMS := reg.Histogram("dsed_explore_chunk_ms", "", obs.LatencyMSBuckets)
-	chunkN := reg.Histogram("dsed_explore_chunk_designs", "", obs.SizeBuckets)
-	progress := reg.Gauge("dsed_explore_evaluated", "")
-	opts := Options{
-		Workers:  1,
-		Progress: func(completed int) { progress.SetMax(float64(completed)) },
-		ChunkDone: func(designs int, elapsed time.Duration) {
-			chunkN.Observe(float64(designs))
-			chunkMS.Observe(float64(elapsed.Microseconds()) / 1000)
-		},
-	}
+	for _, tc := range allocCases(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry(nil)
+			chunkMS := reg.Histogram("dsed_explore_chunk_ms", "", obs.LatencyMSBuckets)
+			chunkN := reg.Histogram("dsed_explore_chunk_designs", "", obs.SizeBuckets)
+			progress := reg.Gauge("dsed_explore_evaluated", "")
+			opts := Options{
+				Workers:  1,
+				Progress: func(completed int) { progress.SetMax(float64(completed)) },
+				ChunkDone: func(designs int, elapsed time.Duration) {
+					chunkN.Observe(float64(designs))
+					chunkMS.Observe(float64(elapsed.Microseconds()) / 1000)
+				},
+			}
 
-	allocs := testing.AllocsPerRun(3, func() {
-		top := NewTopK(8, 0, nil)
-		if err := SweepStream(ctx, designs, models, objectives, opts, top); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if perDesign := allocs / n; perDesign > 0.01 {
-		t.Errorf("instrumented sweep allocates %.4f/design (%.0f total), want ≤0.01", perDesign, allocs)
-	}
-	if chunkMS.Count() == 0 || chunkN.Count() == 0 {
-		t.Errorf("chunk observer never fired")
-	}
-	if got := progress.Value(); got != n {
-		t.Errorf("progress gauge = %v, want %d", got, n)
+			allocs := testing.AllocsPerRun(3, func() {
+				if err := SweepStream(ctx, designs, tc.models, tc.objectives, opts, tc.collector()); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if perDesign := allocs / n; perDesign > 0.01 {
+				t.Errorf("instrumented sweep allocates %.4f/design (%.0f total), want ≤0.01", perDesign, allocs)
+			}
+			if chunkMS.Count() == 0 || chunkN.Count() == 0 {
+				t.Errorf("chunk observer never fired")
+			}
+			if got := progress.Value(); got != n {
+				t.Errorf("progress gauge = %v, want %d", got, n)
+			}
+		})
 	}
 }
 

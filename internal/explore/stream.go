@@ -180,15 +180,26 @@ func (t *TopK) Feasible() int { return t.feasible }
 // dominates. The non-dominated set is unique, so the result is
 // independent of arrival order. Memory stays proportional to the
 // frontier, not the sweep.
+//
+// It is also a Screener: a candidate a retained one strictly dominates
+// would be dropped on arrival, so SweepStream may skip scoring it. The
+// frontier is the same either way; Seen counts skipped candidates and
+// Screened counts how many of them there were.
 type FrontierCollector struct {
 	seen     int
+	screened int
 	frontier []Candidate
 	// free holds the Scores buffers of evicted frontier members for reuse,
 	// so a stabilised frontier churns without allocating (arriving
 	// candidates carry caller scratch — see Collector — and retained ones
-	// need their own copy).
+	// need their own copy). New buffers are carved from slab, so a growing
+	// frontier allocates once per slabPoints members, not once each.
 	free [][]float64
+	slab []float64
 }
+
+// slabPoints is how many score vectors one FrontierCollector slab holds.
+const slabPoints = 64
 
 // NewFrontierCollector builds an empty streaming frontier.
 func NewFrontierCollector() *FrontierCollector {
@@ -199,6 +210,20 @@ func NewFrontierCollector() *FrontierCollector {
 func (f *FrontierCollector) Collect(_ int, c Candidate) {
 	f.seen++
 	f.add(c)
+}
+
+// AppendFrontierScores implements Screener.
+func (f *FrontierCollector) AppendFrontierScores(dst []float64) []float64 {
+	for _, c := range f.frontier {
+		dst = append(dst, c.Scores...)
+	}
+	return dst
+}
+
+// Skip implements Screener.
+func (f *FrontierCollector) Skip(n int) {
+	f.seen += n
+	f.screened += n
 }
 
 // add is Collect without the seen counter.
@@ -217,6 +242,12 @@ func (f *FrontierCollector) add(c Candidate) {
 	var buf []float64
 	if n := len(f.free); n > 0 {
 		buf, f.free = f.free[n-1], f.free[:n-1]
+	} else {
+		nm := len(c.Scores)
+		if len(f.slab) < nm {
+			f.slab = make([]float64, slabPoints*nm)
+		}
+		buf, f.slab = f.slab[:0:nm], f.slab[nm:]
 	}
 	c.Scores = append(buf, c.Scores...)
 	f.frontier = append(kept, c)
@@ -226,17 +257,22 @@ func (f *FrontierCollector) add(c Candidate) {
 // shards, collected per shard, and merged. Pareto dominance is associative:
 // the frontier of a union is the frontier of the union of the parts'
 // frontiers, so the merged collector holds exactly the frontier (and total
-// seen count) one collector would have accumulated over the whole sweep.
-// o must not be f itself.
+// seen count) one collector would have accumulated over the whole sweep;
+// screened counts add up. o must not be f itself.
 func (f *FrontierCollector) Merge(o *FrontierCollector) {
 	f.seen += o.seen
+	f.screened += o.screened
 	for _, c := range o.frontier {
 		f.add(c)
 	}
 }
 
-// Seen returns how many candidates were offered.
+// Seen returns how many candidates were offered, screened ones included.
 func (f *FrontierCollector) Seen() int { return f.seen }
+
+// Screened returns how many of the offered candidates a screened sweep
+// skipped without scoring them.
+func (f *FrontierCollector) Screened() int { return f.screened }
 
 // Frontier returns the current non-dominated set sorted by the first
 // objective (ascending, ties by the second and so on), with candidates

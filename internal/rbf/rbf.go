@@ -515,6 +515,29 @@ func (n *Network) PredictBatch(xs [][]float64, dst []float64) []float64 {
 	return dst
 }
 
+// OutputBound returns B with |Predict(x)| ≤ B for every finite x. Each
+// basis activation is ExpFast of a non-positive argument, or a product of
+// such factors, so it lies in [0, 1] up to ExpFast's 1e-10 relative error;
+// Σ|wᵢ| over the weights and the bias is then a bound up to that error and
+// the rounding of Predict's own sum, which the 1e-6 relative slack covers.
+// It is +Inf when a weight, centre or reciprocal radius is not finite:
+// such a network can produce NaN activations, and no finite bound is
+// proven.
+func (n *Network) OutputBound() float64 {
+	for _, vs := range [][]float64{n.weights, n.sharedCenter, n.sharedInvRad, n.flatCenters, n.flatInvRad} {
+		for _, v := range vs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return math.Inf(1)
+			}
+		}
+	}
+	var b float64
+	for _, w := range n.weights {
+		b += math.Abs(w)
+	}
+	return b * (1 + 1e-6)
+}
+
 // NumCenters returns the number of basis functions (excluding the bias).
 func (n *Network) NumCenters() int { return len(n.centers) }
 
